@@ -60,7 +60,8 @@ const DISPATCH_METHODS: &[&str] = &[
 /// One call site observed inside a function body or guard range.
 #[derive(Debug, Clone)]
 pub struct CallSite {
-    /// Unqualified callee name (`read_to_string`, `load_snapshot`, ...).
+    /// Unqualified callee name (`read_to_string`, `load_snapshot`, ...),
+    /// with a leading `.` for method calls.
     pub name: String,
     /// 1-based line of the call.
     pub line: u32,
@@ -97,11 +98,15 @@ pub struct GuardRange {
 pub struct FnFact {
     /// Unqualified function name.
     pub name: String,
+    /// First parameter is `self` (`&self`, `&mut self`, ...): a method a
+    /// `.name(` call can reach.
+    pub takes_self: bool,
     /// Body directly performs file/network I/O.
     pub does_io: bool,
     /// Body directly enters an `ExecPolicy` fan-out.
     pub does_dispatch: bool,
-    /// Unqualified names this body calls.
+    /// Unqualified names this body calls (method calls with a leading
+    /// `.`).
     pub calls: BTreeSet<String>,
 }
 
@@ -142,6 +147,7 @@ pub fn extract(path: &str, m: &FileModel<'_>) -> FileFacts {
     for f in &fn_spans {
         let mut fact = FnFact {
             name: f.name.clone(),
+            takes_self: f.takes_self,
             does_io: false,
             does_dispatch: false,
             calls: BTreeSet::new(),
@@ -156,7 +162,7 @@ pub fn extract(path: &str, m: &FileModel<'_>) -> FileFacts {
                 fact.does_dispatch = true;
             }
             if let Some(name) = call_at(m, j) {
-                fact.calls.insert(name.to_string());
+                fact.calls.insert(call_key(m, j, name));
             }
             j += 1;
         }
@@ -175,11 +181,12 @@ pub fn extract(path: &str, m: &FileModel<'_>) -> FileFacts {
     }
 }
 
-/// A function span: name, body range in significant-token indices, and
-/// whether its return type is a lock guard.
+/// A function span: name, body range in significant-token indices,
+/// whether it takes `self`, and whether its return type is a lock guard.
 struct FnSpan {
     name: String,
     body: (usize, usize),
+    takes_self: bool,
     returns_guard: bool,
 }
 
@@ -218,8 +225,10 @@ fn fn_span_from(m: &FileModel<'_>, fn_idx: usize, name: &str) -> Option<FnSpan> 
         }
         j += 1;
     }
-    // Skip the argument list.
+    // Skip the argument list, noting a `self` in the first parameter.
     let mut paren = 0i32;
+    let mut first_param = true;
+    let mut takes_self = false;
     while j < m.len() {
         if m.is_punct(j, b'(') {
             paren += 1;
@@ -229,6 +238,10 @@ fn fn_span_from(m: &FileModel<'_>, fn_idx: usize, name: &str) -> Option<FnSpan> 
                 j += 1;
                 break;
             }
+        } else if paren == 1 && m.is_punct(j, b',') {
+            first_param = false;
+        } else if paren == 1 && first_param && m.is_ident(j, "self") {
+            takes_self = true;
         }
         j += 1;
     }
@@ -256,6 +269,7 @@ fn fn_span_from(m: &FileModel<'_>, fn_idx: usize, name: &str) -> Option<FnSpan> 
     Some(FnSpan {
         name: name.to_string(),
         body: (open + 1, close.saturating_sub(1)),
+        takes_self,
         returns_guard,
     })
 }
@@ -338,6 +352,17 @@ fn call_at<'a>(m: &'a FileModel<'_>, j: usize) -> Option<&'a str> {
         return None;
     }
     Some(name)
+}
+
+/// The call-graph key of the call to `name` at `j`: a method call
+/// (`.name(`) carries a leading `.`, because its receiver's type — and so
+/// the crate defining the method — is unknown at token level.
+fn call_key(m: &FileModel<'_>, j: usize, name: &str) -> String {
+    if j > 0 && m.is_punct(j - 1, b'.') {
+        format!(".{name}")
+    } else {
+        name.to_string()
+    }
 }
 
 /// Walks back from the `.` of a method call, collecting the receiver
@@ -484,7 +509,7 @@ fn find_guards(m: &FileModel<'_>, guard_fns: &BTreeSet<String>) -> Vec<GuardRang
             }
             if let Some(name) = call_at(m, j) {
                 g.calls.push(CallSite {
-                    name: name.to_string(),
+                    name: call_key(m, j, name),
                     line: m.line(j),
                 });
             }
@@ -657,15 +682,18 @@ fn let_binding_before<'a>(m: &'a FileModel<'_>, expr_start: usize) -> Option<&'a
 pub fn aggregate(files: &[FileFacts]) -> Vec<Diagnostic> {
     // 1. Call-graph fixpoint over (crate, fn-name) nodes. A call resolves
     //    to the caller's own crate when it defines the name; otherwise to
-    //    the single crate defining it workspace-wide; ambiguous names
-    //    (`new`, `get`, ...) do not propagate across crates — precision
-    //    over recall, the per-crate union still catches the seam-crossing
-    //    helpers that matter.
+    //    the single crate defining it workspace-wide — for a method call
+    //    (`.name(`), the single crate defining a `self`-taking `name`, so
+    //    `.load(` on an atomic never binds to a free `fn load`. Ambiguous
+    //    names (`new`, `get`, ...) do not propagate across crates —
+    //    precision over recall, the per-crate union still catches the
+    //    seam-crossing helpers that matter.
     type Node<'a> = (&'a str, &'a str);
     let mut io_fns: BTreeSet<Node> = BTreeSet::new();
     let mut dispatch_fns: BTreeSet<Node> = BTreeSet::new();
     let mut calls: BTreeMap<Node, BTreeSet<&str>> = BTreeMap::new();
     let mut name_crates: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    let mut methods: BTreeSet<Node> = BTreeSet::new();
     for f in files {
         for fact in &f.fns {
             let node: Node = (&f.crate_name, &fact.name);
@@ -679,6 +707,9 @@ pub fn aggregate(files: &[FileFacts]) -> Vec<Diagnostic> {
                 .entry(&fact.name)
                 .or_default()
                 .insert(&f.crate_name);
+            if fact.takes_self {
+                methods.insert(node);
+            }
             let entry = calls.entry(node).or_default();
             for c in &fact.calls {
                 entry.insert(c);
@@ -686,15 +717,19 @@ pub fn aggregate(files: &[FileFacts]) -> Vec<Diagnostic> {
         }
     }
     let resolve = |caller_crate: &str, callee: &str| -> Option<(String, String)> {
+        let (callee, method) = match callee.strip_prefix('.') {
+            Some(name) => (name, true),
+            None => (callee, false),
+        };
         let crates = name_crates.get(callee)?;
         if crates.contains(caller_crate) {
-            Some((caller_crate.to_string(), callee.to_string()))
-        } else if crates.len() == 1 {
-            let only = crates.iter().next()?;
-            Some(((*only).to_string(), callee.to_string()))
-        } else {
-            None
+            return Some((caller_crate.to_string(), callee.to_string()));
         }
+        let only = *crates.iter().next().filter(|_| crates.len() == 1)?;
+        if method && !methods.contains(&(only, callee)) {
+            return None;
+        }
+        Some((only.to_string(), callee.to_string()))
     };
     loop {
         let mut changed = false;
@@ -767,7 +802,8 @@ pub fn aggregate(files: &[FileFacts]) -> Vec<Diagnostic> {
                         "lock-held-io",
                         format!(
                             "guard on `{}` held across call to `{}`, which performs I/O",
-                            g.lock, c.name
+                            g.lock,
+                            c.name.trim_start_matches('.')
                         ),
                     ));
                 }
@@ -781,7 +817,8 @@ pub fn aggregate(files: &[FileFacts]) -> Vec<Diagnostic> {
                         "lock-held-dispatch",
                         format!(
                             "guard on `{}` held across call to `{}`, which dispatches work",
-                            g.lock, c.name
+                            g.lock,
+                            c.name.trim_start_matches('.')
                         ),
                     ));
                 }
@@ -989,6 +1026,53 @@ mod tests {
                 .any(|d| d.lint == "lock-held-io" && d.message.contains("read_all")),
             "{diags:?}"
         );
+    }
+
+    /// The `lock-held-io` findings' paths for a two-file workspace.
+    fn io_paths(files: [FileFacts; 2]) -> Vec<String> {
+        aggregate(&files)
+            .into_iter()
+            .filter(|d| d.lint == "lock-held-io")
+            .map(|d| d.path)
+            .collect()
+    }
+
+    #[test]
+    fn method_calls_resolve_across_crates_to_methods() {
+        // `commit` is a method doing I/O in crate `x`; calling it under a
+        // guard in crate `y` fires.
+        let lib = facts(
+            "crates/x/src/wal.rs",
+            "//! d\nimpl Log {\n    fn commit(&mut self) -> io::Result<()> { fs::write(&self.path, b\"c\") }\n}\n",
+        );
+        let user = facts(
+            "crates/y/src/b.rs",
+            "//! d\nfn f() {\n    let g = STATE.lock();\n    let r = LOG.commit();\n    let _ = (g, r);\n}\n",
+        );
+        assert_eq!(io_paths([lib, user]), ["crates/y/src/b.rs"]);
+    }
+
+    #[test]
+    fn method_calls_skip_free_fns_in_other_crates() {
+        // `load` is a free fn doing I/O in crate `x`: a free call to it
+        // under a guard in crate `y` fires, but `.load(` on an atomic does
+        // not bind to it.
+        let lib = || {
+            facts(
+                "crates/x/src/a.rs",
+                "//! d\npub fn load(p: &Path) -> String { fs::read_to_string(p).unwrap_or_default() }\n",
+            )
+        };
+        let free = facts(
+            "crates/y/src/b.rs",
+            "//! d\nfn f() {\n    let g = STATE.lock();\n    let s = x::load(\"p\");\n    let _ = (g, s);\n}\n",
+        );
+        let method = facts(
+            "crates/y/src/c.rs",
+            "//! d\nfn f() {\n    let g = STATE.lock();\n    let n = COUNT.load(Ordering::Relaxed);\n    let _ = (g, n);\n}\n",
+        );
+        assert_eq!(io_paths([lib(), free]), ["crates/y/src/b.rs"]);
+        assert!(io_paths([lib(), method]).is_empty());
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //!
 //! * `engine/build`      — in-memory artifact build from a bare CSR graph
 //!   (what a cold engine pays on first touch, and what an eviction re-pays);
-//! * `engine/cold_query` — `.bestk` load from disk (checksum verification +
-//!   `from_parts` re-validation) plus one `bestkset` answer;
+//! * `engine/cold_query` — strict `.bestk` load from disk (mmap open plus
+//!   the graph-section checksum `bestk query` pays) and one `bestkset`
+//!   answer;
 //! * `engine/warm_query` — one answer against resident artifacts (the
 //!   steady-state serving cost);
 //! * `engine/failpoints_off_1k` — 1000 disabled failpoint probes, the
@@ -21,7 +22,7 @@
 
 use bestk_bench::Bench;
 use bestk_core::Metric;
-use bestk_engine::{snapshot, Dataset, Engine, Query};
+use bestk_engine::{save_snapshot_v2_path, Dataset, Engine, Query};
 use bestk_exec::ExecPolicy;
 use bestk_graph::generators;
 
@@ -50,7 +51,7 @@ fn main() {
     let path = dir.join("er.bestk");
     let mut built = Dataset::from_graph(g.clone());
     built.ensure_built(&policy);
-    snapshot::save_path(&built, &path).expect("save snapshot");
+    save_snapshot_v2_path(&built, &path).expect("save snapshot");
     let path_str = path.to_str().expect("utf8 path").to_string();
     let query = Query::BestKSet {
         metric: Metric::AverageDegree,

@@ -3,10 +3,9 @@
 //! Measurements on an Erdős–Rényi stand-in (see DESIGN.md §14 "Storage
 //! backends"):
 //!
-//! * `storage/cold_open_v1`   — full v1 `.bestk` deserialize (checksum +
-//!   `from_parts` re-validation of every section) plus one answer;
-//! * `storage/cold_open_v2`   — zero-copy v2 mmap open (header + profile
-//!   checksums only) plus one answer, the near-instant cold-start path;
+//! * `storage/cold_open_v2`   — zero-copy mmap open of a `.bestk` snapshot
+//!   (header + profile checksums only) plus one answer, the near-instant
+//!   cold-start path;
 //! * `storage/scan_<backend>` — full neighbor-scan throughput per backend
 //!   (csr / succinct / mapped), the price of each representation's reads.
 //!
@@ -15,15 +14,13 @@
 //! * `storage/compression_permille_succinct` — canonical CSR bytes over
 //!   succinct bytes, ×1000 (2340 = 2.34× smaller);
 //! * `storage/compression_permille_mapped`   — CSR bytes over the mapped
-//!   graph section, ×1000;
-//! * `storage/coldstart_speedup_permille`    — v1 min time over v2 min
-//!   time, ×1000 (the mmap cold-start win).
+//!   graph section, ×1000.
 //!
 //! With `BESTK_BENCH_JSON` set, all records land in the JSON report.
 
 use bestk_bench::Bench;
 use bestk_core::Metric;
-use bestk_engine::{snapshot, snapv2, Dataset, GraphStore, Query};
+use bestk_engine::{open_snapshot_v2, save_snapshot_v2_path, Dataset, GraphStore, Query};
 use bestk_exec::ExecPolicy;
 use bestk_graph::{generators, GraphView, SuccinctCsr};
 
@@ -57,35 +54,23 @@ fn main() {
 
     let dir = std::env::temp_dir().join(format!("bestk-bench-storage-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("bench tmp dir");
-    let v1_path = dir.join("er-v1.bestk");
     let v2_path = dir.join("er-v2.bestk");
     let mut built = Dataset::from_graph(g.clone());
     built.ensure_built(&policy);
-    snapshot::save_path(&built, &v1_path).expect("save v1");
-    snapv2::save_path(&built, &v2_path).expect("save v2");
+    save_snapshot_v2_path(&built, &v2_path).expect("save v2");
     let query = Query::BestKSet {
         metric: Metric::AverageDegree,
     };
 
-    let v1 = b.run("storage/cold_open_v1", || {
-        let ds = snapshot::load_path(&v1_path).expect("v1 load");
-        ds.answer(&query).expect("v1 answer")
-    });
-    let v2 = b.run("storage/cold_open_v2", || {
-        let ds = snapv2::open(&v2_path).expect("v2 open");
+    b.run("storage/cold_open_v2", || {
+        let ds = open_snapshot_v2(&v2_path).expect("v2 open");
         ds.answer(&query).expect("v2 answer")
     });
-    if let (Some(a), Some(b_min)) = (v1.iter().min(), v2.iter().min()) {
-        if !b_min.is_zero() {
-            let speedup = a.as_nanos().saturating_mul(1000) / b_min.as_nanos();
-            b.gauge("storage/coldstart_speedup_permille", speedup);
-        }
-    }
 
     // Neighbor-scan throughput per backend, all through GraphView.
     let csr = GraphStore::from(g.clone());
     let succinct = GraphStore::from(SuccinctCsr::from_csr(&g));
-    let mapped_ds = snapv2::open(&v2_path).expect("v2 open");
+    let mapped_ds = open_snapshot_v2(&v2_path).expect("v2 open");
     let mapped = mapped_ds.graph();
     let want = scan(&csr);
     assert_eq!(scan(&succinct), want, "succinct scan diverged");

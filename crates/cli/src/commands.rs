@@ -470,28 +470,18 @@ fn timeout_opt(args: &ParsedArgs) -> Result<Option<std::time::Duration>, CliErro
     Ok(Some(std::time::Duration::from_millis(ms)))
 }
 
-/// `bestk snapshot <graph> <out.bestk> [--format v1|v2] [--threads N]`:
-/// build the full index and persist it in the `.bestk` format. `--format
-/// v2` writes the mmap-friendly layout that the engine opens zero-copy;
-/// both formats load transparently (`bestk query`, the serving loop, and
-/// `load_or_rebuild` sniff the magic).
+/// `bestk snapshot <graph> <out.bestk> [--threads N]`: build the full
+/// index and persist it in the `.bestk` format, which `bestk query`, the
+/// serving loop, and `load_or_rebuild` open zero-copy.
 pub fn snapshot(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
-    args.reject_unknown(&["threads", "format"])?;
+    args.reject_unknown(&["threads"])?;
     let policy = args.exec_policy()?;
     let src = args.positional(0, "graph")?;
     let dst = args.positional(1, "out.bestk")?;
     let g = load_graph(src)?;
     let mut ds = bestk_engine::Dataset::from_graph(g);
     ds.ensure_built(&policy);
-    match args.opt("format").unwrap_or("v1") {
-        "v1" => bestk_engine::snapshot::save_path(&ds, dst)?,
-        "v2" => bestk_engine::save_snapshot_v2_path(&ds, dst)?,
-        other => {
-            return Err(CliError::Usage(format!(
-                "--format expects v1 or v2, got {other:?}"
-            )))
-        }
-    }
+    bestk_engine::save_snapshot_v2_path(&ds, dst)?;
     match ds.answer(&bestk_engine::Query::Stats) {
         Ok(stats) => writeln!(out, "wrote {dst}\t{}", stats.to_line())?,
         Err(e) => return Err(CliError::Engine(e)),
@@ -934,7 +924,11 @@ mod tests {
     fn write_figure2() -> String {
         let path = fixture_path("fig2.txt");
         let g = bestk_graph::generators::paper_figure2();
-        io::write_edge_list_path(&g, &path).unwrap();
+        // Tests run in parallel and share this file: write a private copy
+        // and rename it into place, so no reader sees a half-written graph.
+        let tmp = fixture_path(&format!("fig2.txt.{:?}", std::thread::current().id()));
+        io::write_edge_list_path(&g, &tmp).unwrap();
+        std::fs::rename(&tmp, &path).unwrap();
         path
     }
 
@@ -1396,18 +1390,36 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_v2_round_trips_through_query() {
+    fn snapshot_round_trips_through_query() {
         let graph = write_figure2();
-        let snap = fixture_path("fig2-v2.bestk");
-        let out = run(&["snapshot", &graph, &snap, "--format", "v2"]).unwrap();
+        let snap = fixture_path("fig2-roundtrip.bestk");
+        let out = run(&["snapshot", &graph, &snap]).unwrap();
         assert!(out.contains("stats\tn=12\tm=19\tkmax=3"), "{out}");
-        // The query path sniffs the magic and opens v2 zero-copy.
         let out = run(&["query", &snap, "stats", "bestkset ad", "coreof 5"]).unwrap();
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines[0], "ok\tstats\tn=12\tm=19\tkmax=3\tcores=3");
         assert_eq!(lines[1], "ok\tbestkset\tad\tk=2\tscore=3.1666666666666665");
         assert_eq!(lines[2], "ok\tcoreof\t5\tcoreness=2");
-        assert!(run(&["snapshot", &graph, &snap, "--format", "v9"]).is_err());
+        // One format: the retired --format option is a usage error.
+        let err = run(&["snapshot", &graph, &snap, "--format", "v2"]).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err}");
+    }
+
+    #[test]
+    fn query_rejects_a_corrupt_graph_section() {
+        let graph = write_figure2();
+        let snap = fixture_path("fig2-graphflip.bestk");
+        run(&["snapshot", &graph, &snap]).unwrap();
+        // Byte 300 sits in Figure 2's graph section (bytes 192..464), whose
+        // checksum opening defers; the strict query load checks it.
+        let mut bytes = std::fs::read(&snap).unwrap();
+        bytes[300] ^= 0xff;
+        std::fs::write(&snap, &bytes).unwrap();
+        let err = run(&["query", &snap, "stats"]).unwrap_err();
+        assert!(
+            err.to_string().contains("checksum mismatch in graph"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -101,9 +101,8 @@ commands:
   truss    <graph> [--metric M] [--single]           best k-truss (set)
   generate <family> --n N [--m M|--avg-deg D|...] --seed S --out FILE
   convert  <in> <out>                                text <-> binary
-  snapshot <graph> <out.bestk> [--threads N] [--format v1|v2]
-                                                     persist the full index
-                                                     (v2 opens zero-copy)
+  snapshot <graph> <out.bestk> [--threads N]         persist the full index
+                                                     (opens zero-copy)
   query    <snapshot> <query>... [--threads N] [--budget-mb N]
                                                      one-shot snapshot queries
   mutate   <snapshot> [add:u:v|del:u:v ...] [--stream mixed|delete-heavy|focused

@@ -117,8 +117,7 @@ impl CoreDecomposition {
     ///
     /// The order is *canonical* — defined by the graph alone, not by the
     /// peel implementation — so both [`PeelStrategy`]s reproduce it
-    /// bit-identically (and v1 snapshots round-trip byte-for-byte under
-    /// either strategy).
+    /// bit-identically.
     #[inline]
     pub fn peel_ordering(&self) -> &[VertexId] {
         &self.peel_order
@@ -127,87 +126,10 @@ impl CoreDecomposition {
     /// The shell boundary array: `shell_starts()[k]..shell_starts()[k + 1]`
     /// indexes the k-shell inside
     /// [`vertices_by_coreness`](Self::vertices_by_coreness). Length
-    /// `kmax + 2`. Exposed for the snapshot serializer.
+    /// `kmax + 2`. Exposed for the delta index's shell bookkeeping.
     #[inline]
     pub fn shell_starts(&self) -> &[usize] {
         &self.shell_start
-    }
-
-    /// Reassembles a decomposition from its persisted arrays (the snapshot
-    /// deserialization hook). All structural invariants are re-checked in
-    /// `O(n + kmax)`; untrusted input comes back as a descriptive error,
-    /// never a panic.
-    pub fn from_parts(
-        coreness: Vec<u32>,
-        order: Vec<VertexId>,
-        peel_order: Vec<VertexId>,
-        shell_start: Vec<usize>,
-    ) -> Result<CoreDecomposition, String> {
-        let n = coreness.len();
-        if order.len() != n || peel_order.len() != n {
-            return Err(format!(
-                "array lengths disagree: coreness {n}, order {}, peel {}",
-                order.len(),
-                peel_order.len()
-            ));
-        }
-        if shell_start.len() < 2 {
-            return Err("shell_start must have length kmax + 2 >= 2".into());
-        }
-        let kmax = cast::u32_of(shell_start.len() - 2);
-        if shell_start[0] != 0 || shell_start[shell_start.len() - 1] != n {
-            return Err("shell_start must run from 0 to n".into());
-        }
-        if !shell_start.windows(2).all(|w| w[0] <= w[1]) {
-            return Err("shell_start must be non-decreasing".into());
-        }
-        // `order` must be exactly the (coreness, id) sort with shells at the
-        // recorded boundaries; checking per-slot membership also proves it
-        // is a permutation of 0..n.
-        let mut seen = vec![false; n];
-        for k in 0..=kmax as usize {
-            for &v in order.get(shell_start[k]..shell_start[k + 1]).unwrap_or(&[]) {
-                let vu = v as usize;
-                if vu >= n || seen[vu] {
-                    return Err(format!("order is not a permutation at vertex {v}"));
-                }
-                seen[vu] = true;
-                if coreness[vu] != cast::u32_of(k) {
-                    return Err(format!(
-                        "vertex {v} sits in shell {k} but has coreness {}",
-                        coreness[vu]
-                    ));
-                }
-            }
-            let shell = &order[shell_start[k]..shell_start[k + 1]];
-            if !shell.windows(2).all(|w| w[0] < w[1]) {
-                return Err(format!("shell {k} is not sorted by vertex id"));
-            }
-        }
-        let mut peeled = vec![false; n];
-        for &v in &peel_order {
-            let vu = v as usize;
-            if vu >= n || peeled[vu] {
-                return Err(format!("peel order is not a permutation at vertex {v}"));
-            }
-            peeled[vu] = true;
-        }
-        // Trim kmax down to the largest populated shell so `kmax()` agrees
-        // with a freshly built decomposition.
-        let kmax = coreness.iter().copied().max().unwrap_or(0);
-        if (kmax as usize) + 2 != shell_start.len() {
-            return Err(format!(
-                "shell_start has {} entries but the largest coreness is {kmax}",
-                shell_start.len()
-            ));
-        }
-        Ok(CoreDecomposition {
-            coreness,
-            kmax,
-            order,
-            peel_order,
-            shell_start,
-        })
     }
 }
 
@@ -733,28 +655,6 @@ mod tests {
         let want = core_decomposition(&g);
         assert_eq!(core_decomposition_with(&g, &ExecPolicy::Sequential), want);
         assert_eq!(core_decomposition_with(&g, &par), want);
-    }
-
-    #[test]
-    fn peel_obs_rounds_are_strategy_invariant() {
-        use std::sync::Arc;
-        let g = generators::erdos_renyi_gnm(100, 300, 5);
-        let clock = || Arc::new(bestk_obs::ManualClock::with_step(1)) as Arc<dyn bestk_obs::Clock>;
-        let ((), seq) = bestk_obs::with_fresh(clock(), || {
-            core_decomposition(&g);
-        });
-        let policy = ExecPolicy::with_threads(4).unwrap();
-        let ((), par) = bestk_obs::with_fresh(clock(), || {
-            par_peel(&g, &policy, 0);
-        });
-        let rounds = seq.counter("phase.peel.rounds");
-        assert!(rounds.is_some_and(|r| r > 0), "rounds must be recorded");
-        assert_eq!(rounds, par.counter("phase.peel.rounds"));
-        assert_eq!(
-            seq.histogram("core.frontier_size"),
-            par.histogram("core.frontier_size"),
-            "frontier-size histogram must be strategy-invariant"
-        );
     }
 
     /// Definitional check: c(v) ≥ k iff v survives peeling to min degree k.

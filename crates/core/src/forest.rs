@@ -47,78 +47,13 @@ impl CoreForest {
         Builder::new(g, d).run()
     }
 
-    /// Reassembles a forest from persisted nodes (the snapshot
-    /// deserialization hook). `nodes` carry coreness, vertices, and parent
-    /// pointers; child lists are rebuilt here so the serialized form stays
-    /// minimal. Structural invariants — children-before-parents index
-    /// order, strictly decreasing coreness toward the leaves, every vertex
-    /// in exactly the node `vertex_node` claims — are re-checked in
-    /// `O(n + #nodes)`; untrusted input comes back as an error, never a
-    /// panic.
-    pub fn from_parts(
-        mut nodes: Vec<CoreForestNode>,
-        vertex_node: Vec<u32>,
-    ) -> Result<CoreForest, String> {
-        let count = nodes.len();
-        for node in nodes.iter_mut() {
-            node.children.clear();
-        }
-        for i in 0..count {
-            match nodes[i].parent {
-                None => {}
-                Some(p) => {
-                    let pu = p as usize;
-                    if pu <= i || pu >= count {
-                        return Err(format!(
-                            "node {i} has parent {p}; parents must come after children"
-                        ));
-                    }
-                    if nodes[pu].coreness >= nodes[i].coreness {
-                        return Err(format!(
-                            "node {i} (coreness {}) has parent of coreness {}",
-                            nodes[i].coreness, nodes[pu].coreness
-                        ));
-                    }
-                    nodes[pu].children.push(cast::u32_of(i));
-                }
-            }
-        }
-        if !nodes.windows(2).all(|w| w[0].coreness >= w[1].coreness) {
-            return Err("nodes must be sorted by descending coreness".into());
-        }
-        let n = vertex_node.len();
-        let mut placed = vec![false; n];
-        for (i, node) in nodes.iter().enumerate() {
-            if node.vertices.is_empty() {
-                return Err(format!("node {i} is empty; the forest is compressed"));
-            }
-            for &v in &node.vertices {
-                let vu = v as usize;
-                if vu >= n || placed[vu] {
-                    return Err(format!("vertex {v} misplaced in node {i}"));
-                }
-                placed[vu] = true;
-                if vertex_node[vu] != cast::u32_of(i) {
-                    return Err(format!(
-                        "vertex_node[{v}] = {} but node {i} contains it",
-                        vertex_node[vu]
-                    ));
-                }
-            }
-        }
-        if let Some(v) = placed.iter().position(|&p| !p) {
-            return Err(format!("vertex {v} belongs to no forest node"));
-        }
-        Ok(CoreForest { nodes, vertex_node })
-    }
-
     /// Number of nodes (= number of distinct k-cores over all k that own at
     /// least one shell vertex).
     pub fn node_count(&self) -> usize {
         self.nodes.len()
     }
 
-    /// The per-vertex node index array (the snapshot serialization hook).
+    /// The per-vertex node index array.
     #[inline]
     pub fn vertex_nodes(&self) -> &[u32] {
         &self.vertex_node

@@ -139,72 +139,6 @@ impl<'a> OrderedGraph<'a> {
         }
     }
 
-    /// Reassembles an ordering from persisted arrays (the snapshot
-    /// deserialization hook). Checks the cheap structural invariants —
-    /// array lengths, tag ordering `same ≤ plus ≤ degree`, `high ≤ degree`,
-    /// and that every adjacency slice is rank-sorted — in `O(n + m)`;
-    /// untrusted input comes back as an error, never a panic.
-    pub fn from_parts<G: GraphView>(
-        graph: &G,
-        decomp: &'a CoreDecomposition,
-        adj: Vec<VertexId>,
-        same: Vec<u32>,
-        plus: Vec<u32>,
-        high: Vec<u32>,
-    ) -> Result<Self, String> {
-        let n = graph.num_vertices();
-        if decomp.num_vertices() != n {
-            return Err("decomposition does not match graph".into());
-        }
-        let offsets = graph.degree_offsets();
-        if adj.len() != offsets[n] {
-            return Err(format!(
-                "ordered adjacency has {} entries, graph has {}",
-                adj.len(),
-                offsets[n]
-            ));
-        }
-        if same.len() != n || plus.len() != n || high.len() != n {
-            return Err("tag arrays must have one entry per vertex".into());
-        }
-        for v in 0..n {
-            // bestk-analyze: allow(unchecked-arith) — CSR offsets are validated monotone
-            let deg = cast::u32_of(offsets[v + 1] - offsets[v]);
-            let (s, p, h) = (same[v], plus[v], high[v]);
-            if s > p || p > deg || h > deg {
-                return Err(format!(
-                    "tags of vertex {v} violate same <= plus <= degree: ({s}, {p}, {h}), degree {deg}"
-                ));
-            }
-            let list = &adj[offsets[v]..offsets[v + 1]];
-            for (i, &u) in list.iter().enumerate() {
-                if u as usize >= n {
-                    return Err(format!("ordered neighbor {u} out of range"));
-                }
-                let (cu, cv) = (decomp.coreness(u), decomp.coreness(cast::vertex_id(v)));
-                let lo = cast::u32_of(i);
-                if (lo < s && cu >= cv) || (lo >= s && cu < cv) {
-                    return Err(format!("same tag of vertex {v} misplaces neighbor {u}"));
-                }
-                if (lo < p && cu > cv) || (lo >= p && cu <= cv) {
-                    return Err(format!("plus tag of vertex {v} misplaces neighbor {u}"));
-                }
-                let rank_gt = cu > cv || (cu == cv && u > cast::vertex_id(v));
-                if (lo < h) == rank_gt {
-                    return Err(format!("high tag of vertex {v} misplaces neighbor {u}"));
-                }
-            }
-        }
-        Ok(OrderedGraph {
-            decomp,
-            offsets,
-            adj,
-            same,
-            plus,
-            high,
-        })
-    }
-
     /// Number of vertices `n`.
     #[inline]
     pub fn num_vertices(&self) -> usize {
@@ -224,14 +158,13 @@ impl<'a> OrderedGraph<'a> {
     }
 
     /// The raw rank-ordered adjacency array, aligned with the graph's
-    /// offsets (the snapshot serialization hook).
+    /// offsets.
     #[inline]
     pub fn raw_adjacency(&self) -> &[VertexId] {
         &self.adj
     }
 
-    /// The raw per-vertex `(same, plus, high)` tag arrays (the snapshot
-    /// serialization hook).
+    /// The raw per-vertex `(same, plus, high)` tag arrays.
     #[inline]
     pub fn raw_tags(&self) -> (&[u32], &[u32], &[u32]) {
         (&self.same, &self.plus, &self.high)

@@ -2,8 +2,7 @@
 //! artifacts.
 //!
 //! The artifacts are everything the paper's query algorithms need, owned
-//! (no borrowed `OrderedGraph` — the raw arrays are kept and validated
-//! through `from_parts` on load):
+//! (no borrowed `OrderedGraph` — the raw arrays are kept):
 //!
 //! * the core decomposition (coreness, rank order, peel order, shells),
 //! * the Algorithm 1 ordering (rank-sorted adjacency + position tags),
@@ -12,7 +11,8 @@
 //!   primary values (triangles included, so all eight metrics answer).
 //!
 //! Queries are answered from the profiles in `O(kmax)` / `O(#cores)` — the
-//! expensive `O(m^1.5)` work happens once at build (or snapshot-load) time.
+//! expensive `O(m^1.5)` work happens once, at build time (a snapshot load
+//! skips it).
 //! Batches are fanned out through [`bestk_exec::ExecPolicy::map_chunks`]
 //! with an ordered merge, so the answer list is bit-identical at every
 //! thread count.
@@ -103,9 +103,9 @@ impl Artifacts {
 pub enum Index {
     /// No index resident; queries refuse until [`Dataset::ensure_built`].
     None,
-    /// Fully materialized heap artifacts (v1 loads and fresh builds).
+    /// Fully materialized heap artifacts (fresh builds).
     Owned(Artifacts),
-    /// Profiles plus mapped coreness from an opened v2 snapshot.
+    /// Profiles plus mapped coreness from an opened snapshot.
     Mapped(MappedIndex),
 }
 
@@ -140,8 +140,8 @@ impl Dataset {
         }
     }
 
-    /// Assembles a dataset from already-validated parts (the snapshot
-    /// loader's constructor).
+    /// Assembles a dataset from a graph and artifacts already built for
+    /// it (e.g. stage by stage, outside [`Artifacts::build`]).
     pub fn from_built(graph: CsrGraph, artifacts: Artifacts) -> Dataset {
         Dataset {
             store: GraphStore::from(graph),
@@ -149,7 +149,7 @@ impl Dataset {
         }
     }
 
-    /// Assembles a dataset from an opened v2 snapshot: a mapped graph plus
+    /// Assembles a dataset from an opened snapshot: a mapped graph plus
     /// its mapped index.
     pub fn from_mapped(store: GraphStore, index: MappedIndex) -> Dataset {
         Dataset {
@@ -189,8 +189,8 @@ impl Dataset {
     }
 
     /// The owned artifacts, if resident. Mapped datasets return `None` —
-    /// they answer queries but cannot be re-serialized to v1 or rebuilt
-    /// into an `OrderedGraph` without materializing first.
+    /// they answer queries but cannot be re-serialized or rebuilt into an
+    /// `OrderedGraph` without materializing first.
     #[inline]
     pub fn artifacts(&self) -> Option<&Artifacts> {
         match &self.index {
@@ -199,7 +199,7 @@ impl Dataset {
         }
     }
 
-    /// The mapped index, when this dataset came from a v2 snapshot.
+    /// The mapped index, when this dataset came from a snapshot.
     #[inline]
     pub fn mapped_index(&self) -> Option<&MappedIndex> {
         match &self.index {
@@ -319,14 +319,17 @@ impl Dataset {
             return Vec::new();
         }
         let plan = policy.plan_even(queries.len());
+        let faults = bestk_faults::scope();
         let parts = policy.map_chunks(
             &plan,
             || (),
             |(), _, range| {
                 // This closure executes on the policy's worker threads, so
                 // the `exec.worker` failpoint exercises the runtime's panic
-                // containment end to end (worker → PanicSlot → caller).
-                bestk_faults::maybe_panic(sites::EXEC_WORKER);
+                // containment end to end (worker → PanicSlot → caller). It
+                // fires in the caller's fault scope: a test's plan reaches
+                // its own workers, not another test's.
+                faults.enter(|| bestk_faults::maybe_panic(sites::EXEC_WORKER));
                 queries[range]
                     .iter()
                     .map(|q| self.answer(q))

@@ -148,21 +148,27 @@ impl Engine {
     }
 
     /// Loads a `.bestk` snapshot from `path` and registers it under `name`.
-    /// The snapshot arrives fully built, so no build is charged.
+    /// The strict load: with no source to rebuild from, the graph section
+    /// is checked too, so a corrupt snapshot is a typed error rather than
+    /// wrong answers. The snapshot arrives fully built, so no build is
+    /// charged.
     pub fn load_snapshot(&mut self, name: &str, path: &str) -> Result<(), EngineError> {
-        let dataset = snapshot::load_path(path)?;
+        let dataset = crate::open_snapshot_v2(path)?;
+        snapshot::check_graph(&dataset)?;
         self.register(name, dataset);
         Ok(())
     }
 
     /// Resilient snapshot load — the degradation ladder:
     ///
-    /// 1. read `path`, retrying *transient* I/O failures under `retry`;
-    /// 2. if the bytes are corrupt (bad magic, checksum mismatch,
-    ///    truncation, …) and a `source` graph file is given, rename the
-    ///    bad file to `<path>.quarantine` (preserving it for forensics),
-    ///    rebuild the full index from `source`, and serve that — startup
-    ///    degrades to a slow build instead of failing;
+    /// 1. open `path`, retrying *transient* I/O failures under `retry`;
+    /// 2. if the bytes are corrupt (bad magic, version skew, checksum
+    ///    mismatch, truncation, …) and a `source` graph file is given,
+    ///    rename the bad file to `<path>.quarantine` (preserving it for
+    ///    forensics), rebuild the full index from `source`, and serve
+    ///    that — startup degrades to a slow build instead of failing.
+    ///    With a `source`, the graph section's deferred checksum is paid
+    ///    too; without one the open stays zero-copy;
     /// 3. otherwise surface the typed error.
     pub fn load_snapshot_with_fallback(
         &mut self,
@@ -180,7 +186,7 @@ impl Engine {
         Ok(outcome)
     }
 
-    /// Registers a dataset produced by [`snapshot::load_or_rebuild`],
+    /// Registers a dataset produced by [`load_or_rebuild`](crate::load_or_rebuild),
     /// charging a build when the snapshot had to be rebuilt from source.
     /// Pure bookkeeping — no I/O, safe to call with the registry locked.
     pub fn install_loaded(&mut self, name: &str, dataset: Dataset, outcome: LoadOutcome) {
@@ -552,7 +558,7 @@ mod tests {
         let path = dir.join("fig2.bestk");
         let mut ds = Dataset::from_graph(generators::paper_figure2());
         ds.ensure_built(&policy());
-        snapshot::save_path(&ds, &path).unwrap();
+        crate::save_snapshot_v2_path(&ds, &path).unwrap();
 
         let mut eng = Engine::new(None);
         eng.load_snapshot("fig2", path.to_str().unwrap()).unwrap();
@@ -658,7 +664,7 @@ mod tests {
         bestk_graph::io::write_edge_list_path(&g, &source).unwrap();
         let mut ds = Dataset::from_graph(g);
         ds.ensure_built(&policy());
-        snapshot::save_path(&ds, &snap).unwrap();
+        crate::save_snapshot_v2_path(&ds, &snap).unwrap();
         // Corrupt the snapshot's payload on disk.
         let mut bytes = std::fs::read(&snap).unwrap();
         let last = bytes.len() - 1;
@@ -703,7 +709,7 @@ mod tests {
         assert_eq!(a.to_line(), "bestkset\tad\tk=2\tscore=3.1666666666666665");
 
         // An intact snapshot through the same entry point reports Loaded.
-        snapshot::save_path(&ds, &snap).unwrap();
+        crate::save_snapshot_v2_path(&ds, &snap).unwrap();
         let outcome = eng
             .load_snapshot_with_fallback(
                 "fig2b",

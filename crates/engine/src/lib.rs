@@ -3,11 +3,13 @@
 //! This crate turns the paper's one-shot pipeline (read graph → peel →
 //! order → profile → answer) into a serving system:
 //!
-//! - [`snapshot`] — a versioned, checksummed on-disk `.bestk` format
-//!   persisting the CSR graph plus every derived index (coreness, Alg. 1
-//!   ordering and position tags, the Alg. 4 core forest, and the per-k
-//!   primary-value profiles), so best-k queries on a warm dataset skip the
-//!   `O(m^1.5)` preprocessing entirely.
+//! - [`snapv2`] — the versioned, checksummed on-disk `.bestk` format:
+//!   the CSR graph, the coreness array, and the per-k and per-core
+//!   primary-value profiles, laid out so a snapshot opens zero-copy from a
+//!   memory map and answers best-k queries without the `O(m^1.5)`
+//!   preprocessing. [`open_snapshot_v2`] and [`save_snapshot_v2_path`]
+//!   read and write it; [`RetryPolicy`] and [`load_or_rebuild`] are the
+//!   retry and quarantine-and-rebuild load ladder around it.
 //! - [`Engine`] — a registry of named datasets under a configurable memory
 //!   budget with LRU artifact eviction, lazy first-touch builds, and
 //!   build/cache-hit/eviction counters.
@@ -49,9 +51,11 @@ pub mod query;
 pub mod record;
 pub mod registry;
 pub mod serve;
-pub mod snapshot;
+mod snapshot;
 pub mod snapv2;
 pub mod store;
+
+use std::path::Path;
 
 pub use dataset::{Artifacts, Dataset};
 pub use engine::{Counters, DatasetRow, Engine, LoadOutcome};
@@ -66,9 +70,20 @@ pub use serve::{
     handle_request, serve_lines, serve_lines_recorded, serve_lines_with, serve_on_listener,
     serve_on_listener_recorded, serve_tcp, Control, ServeLimits,
 };
-pub use snapshot::{
-    load_path as load_snapshot_path, load_path_with_retry, save_path as save_snapshot_path,
-    save_path_with_retry, RetryPolicy,
-};
-pub use snapv2::{open as open_snapshot_v2, save_path as save_snapshot_v2_path, MappedIndex};
+pub use snapshot::{load_or_rebuild, RetryPolicy};
 pub use store::GraphStore;
+
+/// Opens a `.bestk` snapshot zero-copy, in one attempt (see
+/// [`snapv2::open_with_retry`]).
+pub fn open_snapshot_v2<P: AsRef<Path>>(path: P) -> Result<Dataset, EngineError> {
+    snapv2::open_with_retry(path, &RetryPolicy::none())
+}
+
+/// Writes a built dataset as a `.bestk` snapshot, in one attempt (see
+/// [`snapv2::save_path_with_retry`]).
+pub fn save_snapshot_v2_path<P: AsRef<Path>>(
+    dataset: &Dataset,
+    path: P,
+) -> Result<(), EngineError> {
+    snapv2::save_path_with_retry(dataset, path, &RetryPolicy::none())
+}

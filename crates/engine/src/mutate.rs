@@ -32,6 +32,11 @@
 //! a committed op that no longer applies — is quarantined to
 //! `<wal>.quarantine` and the engine serves the un-mutated snapshot,
 //! mirroring the corrupt-snapshot ladder.
+//!
+//! Replay and a slot's first commit read the whole committed graph, so
+//! both first pay a mapped snapshot's deferred graph-section check (see
+//! [`crate::snapv2`]): a corrupt graph is a typed error, never replayed
+//! into a heap graph or compacted back over the snapshot.
 
 use std::path::PathBuf;
 
@@ -149,6 +154,13 @@ fn commit_ops(
     if delta.pending.is_empty() {
         return Err(EngineError::Mutation("nothing staged to commit".into()));
     }
+    // The first commit reads the whole committed graph to seed the index,
+    // and compaction may rewrite it under fresh checksums, so a mapped
+    // graph pays its deferred check first: a corrupt snapshot fails the
+    // commit before anything becomes durable.
+    if delta.index.is_none() {
+        crate::snapshot::check_graph(dataset)?;
+    }
     // Durability point: marker + fsync. On failure the ops stay staged and
     // the commit can be retried.
     if let Some(wal) = delta.wal.as_mut() {
@@ -221,7 +233,7 @@ fn compact(
     };
     dataset.ensure_built(policy);
     let tmp = snap.with_extension("bestk.compact");
-    crate::snapv2::save_path(dataset, &tmp)?;
+    crate::save_snapshot_v2_path(dataset, &tmp)?;
     std::fs::rename(&tmp, &snap)?;
     wal.reset()?;
     delta.committed_ops = 0;
@@ -234,6 +246,7 @@ fn compact(
 /// dataset, and returns the mutated dataset plus the slot state. An
 /// unreadable log — or a committed op that no longer applies — is
 /// quarantined to `<wal>.quarantine` and the un-mutated dataset is served.
+/// A log with committed ops first checks the snapshot's graph section.
 /// Runs with no registry guard live.
 pub(crate) fn adopt_wal(
     dataset: Dataset,
@@ -250,6 +263,9 @@ pub(crate) fn adopt_wal(
     if ops.is_empty() {
         return Ok((dataset, DeltaSlot::with_wal(log, 0)));
     }
+    // Replay copies the whole snapshot graph into the mutated one, so a
+    // mapped graph pays its deferred check first.
+    crate::snapshot::check_graph(&dataset)?;
     let mut overlay = DeltaOverlay::new(dataset.graph());
     let mut failed = false;
     for op in &ops {
@@ -339,6 +355,7 @@ impl SharedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::LoadOutcome;
     use crate::query::Query;
     use crate::snapshot;
     use bestk_graph::generators;
@@ -435,7 +452,7 @@ mod tests {
         }
         let mut ds = Dataset::from_graph(generators::paper_figure2());
         ds.ensure_built(&policy());
-        snapshot::save_path(&ds, &snap).unwrap();
+        crate::save_snapshot_v2_path(&ds, &snap).unwrap();
 
         let line;
         {
@@ -482,7 +499,7 @@ mod tests {
         let _ = std::fs::remove_file(&wal);
         let mut ds = Dataset::from_graph(generators::paper_figure2());
         ds.ensure_built(&policy());
-        snapshot::save_path(&ds, &snap).unwrap();
+        crate::save_snapshot_v2_path(&ds, &snap).unwrap();
 
         let eng = SharedEngine::with_budget(None);
         eng.load_snapshot_with_fallback(
@@ -508,7 +525,7 @@ mod tests {
             std::fs::metadata(&wal).unwrap().len(),
             bestk_delta::WAL_MAGIC.len() as u64
         );
-        // ...and the snapshot at the original path is now v2 and carries
+        // ...and the snapshot at the original path was rewritten and carries
         // the mutation on its own.
         let eng2 = SharedEngine::with_budget(None);
         eng2.load_snapshot_with_fallback(
@@ -528,6 +545,99 @@ mod tests {
         }
     }
 
+    /// Flips one adjacency byte of the snapshot at `path`: the low byte of
+    /// the last neighbor in the graph section (the first section-table
+    /// entry). Opening defers that section's checksum, so the file still
+    /// opens.
+    fn flip_graph_byte(path: &std::path::Path) {
+        let mut bytes = std::fs::read(path).unwrap();
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        let end = (word(72) + word(80)) as usize;
+        bytes[end - 4] ^= 0x01;
+        std::fs::write(path, bytes).unwrap();
+    }
+
+    fn load(eng: &SharedEngine, snap: &std::path::Path) -> Result<LoadOutcome, EngineError> {
+        eng.load_snapshot_with_fallback(
+            "g",
+            snap.to_str().unwrap(),
+            None,
+            &snapshot::RetryPolicy::none(),
+            &policy(),
+        )
+    }
+
+    #[test]
+    fn a_corrupt_graph_is_never_committed_or_compacted() {
+        let dir = temp_dir("corrupt-commit");
+        let snap = dir.join("g.bestk");
+        let wal = dir.join("g.bestk.wal");
+        let _ = std::fs::remove_file(&wal);
+        let mut ds = Dataset::from_graph(generators::paper_figure2());
+        ds.ensure_built(&policy());
+        crate::save_snapshot_v2_path(&ds, &snap).unwrap();
+        flip_graph_byte(&snap);
+        let flipped = std::fs::read(&snap).unwrap();
+
+        let eng = SharedEngine::with_budget(None);
+        load(&eng, &snap).unwrap();
+        {
+            let mut guard = eng.guard();
+            let (_, mut delta) = guard.delta_checkout("g").unwrap();
+            delta.compact_after = 1;
+            guard.delta_restore("g", delta);
+        }
+        eng.stage_edge("g", EdgeOp::Insert(0, 11)).unwrap();
+        let err = eng.commit_edges("g", &policy()).unwrap_err();
+        assert!(
+            matches!(err, EngineError::ChecksumMismatch { section: "graph" }),
+            "{err}"
+        );
+        // Nothing became durable and the snapshot was not rewritten.
+        assert_eq!(eng.pending_ops("g").unwrap(), 1);
+        assert_eq!(std::fs::read(&snap).unwrap(), flipped);
+        drop(eng);
+        let (_, replayed) = DeltaLog::open(&wal).unwrap();
+        assert!(replayed.is_empty(), "no committed op in the log");
+        for f in [snap, wal] {
+            let _ = std::fs::remove_file(f);
+        }
+    }
+
+    #[test]
+    fn a_corrupt_graph_is_never_replayed() {
+        let dir = temp_dir("corrupt-replay");
+        let snap = dir.join("g.bestk");
+        let wal = dir.join("g.bestk.wal");
+        let _ = std::fs::remove_file(&wal);
+        let mut ds = Dataset::from_graph(generators::paper_figure2());
+        ds.ensure_built(&policy());
+        crate::save_snapshot_v2_path(&ds, &snap).unwrap();
+        {
+            let eng = SharedEngine::with_budget(None);
+            load(&eng, &snap).unwrap();
+            eng.stage_edge("g", EdgeOp::Insert(0, 11)).unwrap();
+            eng.commit_edges("g", &policy()).unwrap();
+        }
+        flip_graph_byte(&snap);
+        let err = load(&SharedEngine::with_budget(None), &snap).unwrap_err();
+        assert!(
+            matches!(err, EngineError::ChecksumMismatch { section: "graph" }),
+            "{err}"
+        );
+        // With no committed op to replay, the load stays zero-copy.
+        let (mut log, _) = DeltaLog::open(&wal).unwrap();
+        log.reset().unwrap();
+        drop(log);
+        assert_eq!(
+            load(&SharedEngine::with_budget(None), &snap).unwrap(),
+            LoadOutcome::Loaded
+        );
+        for f in [snap, wal] {
+            let _ = std::fs::remove_file(f);
+        }
+    }
+
     #[test]
     fn an_alien_wal_is_quarantined_and_the_snapshot_served() {
         let dir = temp_dir("quarantine");
@@ -539,7 +649,7 @@ mod tests {
         }
         let mut ds = Dataset::from_graph(generators::paper_figure2());
         ds.ensure_built(&policy());
-        snapshot::save_path(&ds, &snap).unwrap();
+        crate::save_snapshot_v2_path(&ds, &snap).unwrap();
         std::fs::write(&wal, b"not a delta log at all").unwrap();
 
         let eng = SharedEngine::with_budget(None);

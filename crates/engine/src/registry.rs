@@ -5,8 +5,9 @@
 //! `lock-held-dispatch` passes — is that the registry lock is only ever
 //! held for bookkeeping:
 //!
-//! * **loads**: [`snapshot::load_or_rebuild`] does every byte of disk I/O
-//!   (and any `O(m^1.5)` rebuild) *before* the lock is taken; the locked
+//! * **loads**: [`load_or_rebuild`](crate::load_or_rebuild) does every
+//!   byte of disk I/O (and any `O(m^1.5)` rebuild) *before* the lock is
+//!   taken; the locked
 //!   section just installs the finished dataset;
 //! * **queries**: the dataset is checked out under the lock (an `Arc`
 //!   clone), artifacts build and the batch is answered *outside* the

@@ -914,6 +914,8 @@ mod tests {
         std::fs::remove_file(&quarantine).ok();
         let g = generators::paper_figure2();
         bestk_graph::io::write_edge_list_path(&g, &source).unwrap();
+        // The retired version-1 magic: a version skew, so quarantined and
+        // rebuilt like any other corruption.
         std::fs::write(&snap, b"BESTKSS1 but then garbage").unwrap();
 
         let eng = SharedEngine::with_budget(None);

@@ -1,78 +1,32 @@
-//! The versioned, checksummed `.bestk` snapshot format.
+//! Format-agnostic `.bestk` snapshot plumbing.
 //!
-//! A snapshot persists one dataset's full index — everything
-//! [`Artifacts`] holds — so a later process answers best-k queries after a
-//! pair of bulk reads instead of an `O(m^1.5)` rebuild.
+//! The on-disk layout lives in [`crate::snapv2`]; this module holds what
+//! the layout is built from and loaded through:
 //!
-//! On-disk layout (all integers little-endian):
+//! * [`fnv1a`], the per-section checksum, and the bounds-checked
+//!   `SectionReader` every decoder reads through;
+//! * the two profile encoders (the profile sections' bodies);
+//! * [`RetryPolicy`] and the retry loop around the `snapshot.read` /
+//!   `snapshot.write` failpoint-instrumented file read and write;
+//! * [`load_or_rebuild`], the resilient load ladder.
 //!
-//! ```text
-//! magic    : 8 bytes = b"BESTKSS1"
-//! version  : u32     (currently 1; any other value is VersionSkew)
-//! sections : u32     (section count)
-//! table    : sections × { id u32, reserved u32, offset u64, len u64, fnv1a u64 }
-//! payload  : the concatenated section bodies, contiguous, in table order
-//! ```
-//!
-//! Section ids and body layouts:
-//!
-//! | id | name           | body |
-//! |----|----------------|------|
-//! | 1  | `graph`        | `n u64, nnz u64, offsets (n+1)×u64, neighbors nnz×u32` |
-//! | 2  | `decomposition`| `n u64, coreness n×u32, order n×u32, peel n×u32, s u64, shell_start s×u64` |
-//! | 3  | `ordering`     | `nnz u64, adj nnz×u32, same n×u32, plus n×u32, high n×u32` |
-//! | 4  | `forest`       | `nodes u64, nodes × {coreness u32, parent u32, nv u64, vertices nv×u32}, vertex_node n×u32` |
-//! | 5  | `set-profile`  | `kmax u32, tri u8, n u64, m u64, count u64, count × 5×u64` |
-//! | 6  | `core-profile` | `tri u8, n u64, m u64, count u64, coreness count×u32, count × 5×u64` |
-//!
-//! A forest parent of `u32::MAX` encodes "root"; child lists are rebuilt on
-//! load. Every section carries an FNV-1a 64 checksum, verified before the
-//! section is parsed; after parsing, each structure's invariants are
-//! re-checked through the core crate's `from_parts` constructors, so a
-//! corrupted or hand-edited snapshot is rejected with a structured
-//! [`EngineError`] — never a panic — no matter where the damage sits.
+//! Opening a snapshot defers the graph section's checksum (see
+//! [`crate::snapv2`]). The paths that can act on a bad graph pay it:
+//! [`load_or_rebuild`] when it has a rebuild `source`, the strict
+//! [`Engine::load_snapshot`](crate::Engine::load_snapshot) behind
+//! `bestk query`, and the write paths of [`crate::mutate`]. Loads without
+//! a source (serving restarts) stay zero-copy.
 
-use std::io::{Read, Write};
 use std::path::Path;
 use std::time::Duration;
 
+use bestk_core::{CoreSetProfile, PrimaryValues, SingleCoreProfile};
 use bestk_exec::ExecPolicy;
-
-use crate::engine::LoadOutcome;
-
-use bestk_core::{
-    CoreDecomposition, CoreForest, CoreForestNode, CoreSetProfile, GraphContext, OrderedGraph,
-    PrimaryValues, SingleCoreProfile,
-};
 use bestk_faults::sites;
-use bestk_graph::CsrGraph;
 
-use crate::dataset::{Artifacts, Dataset};
+use crate::dataset::Dataset;
+use crate::engine::LoadOutcome;
 use crate::error::EngineError;
-
-/// The `.bestk` magic bytes.
-pub const MAGIC: &[u8; 8] = b"BESTKSS1";
-/// The single format version this build reads and writes.
-pub const VERSION: u32 = 1;
-
-const SEC_GRAPH: u32 = 1;
-const SEC_DECOMP: u32 = 2;
-const SEC_ORDERING: u32 = 3;
-const SEC_FOREST: u32 = 4;
-const SEC_SET_PROFILE: u32 = 5;
-const SEC_CORE_PROFILE: u32 = 6;
-
-fn section_name(id: u32) -> Option<&'static str> {
-    match id {
-        SEC_GRAPH => Some("graph"),
-        SEC_DECOMP => Some("decomposition"),
-        SEC_ORDERING => Some("ordering"),
-        SEC_FOREST => Some("forest"),
-        SEC_SET_PROFILE => Some("set-profile"),
-        SEC_CORE_PROFILE => Some("core-profile"),
-        _ => None,
-    }
-}
 
 /// FNV-1a 64 over a byte slice (the workspace is dependency-free, so the
 /// checksum is hand-rolled; FNV is fast and order-sensitive, which is all a
@@ -104,62 +58,8 @@ fn put_primaries(buf: &mut Vec<u8>, pv: &PrimaryValues) {
     put_u64(buf, pv.triplets);
 }
 
-/// The v1 graph body is byte-for-byte the [`bestk_graph::ByteCsr`]
-/// layout, so any backend serializes through the view-generic encoder.
-fn encode_graph<G: bestk_graph::GraphView>(g: &G) -> Vec<u8> {
-    bestk_graph::bytecsr::encode_view(g)
-}
-
-fn encode_decomp(d: &CoreDecomposition) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_u64(&mut buf, d.num_vertices() as u64);
-    for &c in d.coreness_slice() {
-        put_u32(&mut buf, c);
-    }
-    for &v in d.vertices_by_coreness() {
-        put_u32(&mut buf, v);
-    }
-    for &v in d.peel_ordering() {
-        put_u32(&mut buf, v);
-    }
-    put_u64(&mut buf, d.shell_starts().len() as u64);
-    for &s in d.shell_starts() {
-        put_u64(&mut buf, s as u64);
-    }
-    buf
-}
-
-fn encode_ordering(art: &Artifacts) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_u64(&mut buf, art.adj.len() as u64);
-    for &v in &art.adj {
-        put_u32(&mut buf, v);
-    }
-    for tags in [&art.same, &art.plus, &art.high] {
-        for &t in tags.iter() {
-            put_u32(&mut buf, t);
-        }
-    }
-    buf
-}
-
-fn encode_forest(f: &CoreForest) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_u64(&mut buf, f.node_count() as u64);
-    for node in f.nodes() {
-        put_u32(&mut buf, node.coreness);
-        put_u32(&mut buf, node.parent.unwrap_or(u32::MAX));
-        put_u64(&mut buf, node.vertices.len() as u64);
-        for &v in &node.vertices {
-            put_u32(&mut buf, v);
-        }
-    }
-    for &nid in f.vertex_nodes() {
-        put_u32(&mut buf, nid);
-    }
-    buf
-}
-
+/// The `set-profile` section body:
+/// `kmax u32, tri u8, n u64, m u64, count u64, count × 5×u64`.
 pub(crate) fn encode_set_profile(p: &CoreSetProfile) -> Vec<u8> {
     let mut buf = Vec::new();
     put_u32(&mut buf, p.kmax);
@@ -173,6 +73,8 @@ pub(crate) fn encode_set_profile(p: &CoreSetProfile) -> Vec<u8> {
     buf
 }
 
+/// The `core-profile` section body:
+/// `tri u8, n u64, m u64, count u64, coreness count×u32, count × 5×u64`.
 pub(crate) fn encode_core_profile(p: &SingleCoreProfile) -> Vec<u8> {
     let mut buf = Vec::new();
     buf.push(u8::from(p.has_triangles));
@@ -188,42 +90,7 @@ pub(crate) fn encode_core_profile(p: &SingleCoreProfile) -> Vec<u8> {
     buf
 }
 
-/// Serializes a built dataset to a writer in the `.bestk` format.
-///
-/// The dataset must have its artifacts resident (build them first); a bare
-/// graph is rejected with [`EngineError::BadSnapshot`].
-pub fn save<W: Write>(dataset: &Dataset, writer: W) -> Result<(), EngineError> {
-    let art = dataset.artifacts().ok_or_else(|| {
-        EngineError::BadSnapshot("cannot save a dataset whose artifacts are not built".into())
-    })?;
-    let sections: [(u32, Vec<u8>); 6] = [
-        (SEC_GRAPH, encode_graph(dataset.graph())),
-        (SEC_DECOMP, encode_decomp(&art.decomp)),
-        (SEC_ORDERING, encode_ordering(art)),
-        (SEC_FOREST, encode_forest(&art.forest)),
-        (SEC_SET_PROFILE, encode_set_profile(&art.set_profile)),
-        (SEC_CORE_PROFILE, encode_core_profile(&art.core_profile)),
-    ];
-    let mut w = std::io::BufWriter::new(writer);
-    w.write_all(MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
-    w.write_all(&bestk_graph::cast::u32_of(sections.len()).to_le_bytes())?;
-    let header_len = 16 + 32 * sections.len() as u64;
-    let mut offset = header_len;
-    for (id, body) in &sections {
-        w.write_all(&id.to_le_bytes())?;
-        w.write_all(&0u32.to_le_bytes())?;
-        w.write_all(&offset.to_le_bytes())?;
-        w.write_all(&(body.len() as u64).to_le_bytes())?;
-        w.write_all(&fnv1a(body).to_le_bytes())?;
-        offset = offset.saturating_add(body.len() as u64);
-    }
-    for (_, body) in &sections {
-        w.write_all(body)?;
-    }
-    w.flush()?;
-    Ok(())
-}
+// ---------------------------------------------------------------- file I/O
 
 /// Bounded retry policy for transient snapshot I/O (`Interrupted`,
 /// `WouldBlock`, `TimedOut`, `WriteZero`). Corruption is *not* retried —
@@ -307,32 +174,13 @@ pub(crate) fn write_snapshot_bytes(path: &Path, bytes: &[u8]) -> std::io::Result
 /// One read attempt, with the `snapshot.read` failpoint threaded in
 /// (injected I/O errors before the read; injected bit flips / truncation
 /// on the bytes after it, caught downstream by the checksums).
-fn read_snapshot_bytes(path: &Path) -> std::io::Result<Vec<u8>> {
+pub(crate) fn read_snapshot_bytes(path: &Path) -> std::io::Result<Vec<u8>> {
     if let Some(e) = bestk_faults::io_error(sites::SNAPSHOT_READ) {
         return Err(e);
     }
     let mut bytes = std::fs::read(path)?;
     bestk_faults::corrupt_buffer(sites::SNAPSHOT_READ, &mut bytes);
     Ok(bytes)
-}
-
-/// [`save`] to a file path (one attempt; see [`save_path_with_retry`]).
-pub fn save_path<P: AsRef<Path>>(dataset: &Dataset, path: P) -> Result<(), EngineError> {
-    save_path_with_retry(dataset, path, &RetryPolicy::none())
-}
-
-/// [`save`] to a file path, retrying transient I/O failures under
-/// `policy`. The snapshot is serialized once up front; each attempt
-/// rewrites the whole file, so a partially-persisted earlier attempt is
-/// healed rather than appended to.
-pub fn save_path_with_retry<P: AsRef<Path>>(
-    dataset: &Dataset,
-    path: P,
-    policy: &RetryPolicy,
-) -> Result<(), EngineError> {
-    let mut buf = Vec::new();
-    save(dataset, &mut buf)?;
-    with_retries(policy, || write_snapshot_bytes(path.as_ref(), &buf)).map_err(EngineError::Io)
 }
 
 // ---------------------------------------------------------------- reading
@@ -355,11 +203,11 @@ impl<'a> SectionReader<'a> {
         }
     }
 
-    pub(crate) fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.buf.len() - self.at
     }
 
-    pub(crate) fn take(&mut self, len: usize) -> Result<&'a [u8], EngineError> {
+    fn take(&mut self, len: usize) -> Result<&'a [u8], EngineError> {
         if len > self.remaining() {
             return Err(EngineError::Truncated {
                 section: self.section,
@@ -409,17 +257,6 @@ impl<'a> SectionReader<'a> {
             .collect())
     }
 
-    pub(crate) fn u64_vec(&mut self, count: usize) -> Result<Vec<u64>, EngineError> {
-        let bytes = count.checked_mul(8).ok_or(EngineError::Truncated {
-            section: self.section,
-        })?;
-        let raw = self.take(bytes)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|b| u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-            .collect())
-    }
-
     pub(crate) fn primaries(&mut self, count: usize) -> Result<Vec<PrimaryValues>, EngineError> {
         let mut out = Vec::with_capacity(count.min(1 << 16));
         for _ in 0..count {
@@ -450,357 +287,20 @@ pub(crate) fn bad(section: &str, msg: String) -> EngineError {
     EngineError::BadSnapshot(format!("{section}: {msg}"))
 }
 
-fn decode_graph(body: &[u8]) -> Result<CsrGraph, EngineError> {
-    let mut r = SectionReader::new(body, "graph");
-    let n = r.count()?;
-    let nnz = r.count()?;
-    let offsets_raw = r.u64_vec(
-        n.checked_add(1)
-            .ok_or(EngineError::Truncated { section: "graph" })?,
-    )?;
-    let mut offsets = Vec::with_capacity(offsets_raw.len());
-    for off in offsets_raw {
-        offsets.push(
-            usize::try_from(off)
-                .map_err(|_| bad("graph", format!("offset {off} does not fit usize")))?,
-        );
-    }
-    let neighbors = r.u32_vec(nnz)?;
-    r.finish()?;
-    // bestk-analyze: allow(no-raw-graph) — the blessed deserializer boundary for untrusted bytes
-    CsrGraph::try_from_parts(offsets, neighbors).map_err(EngineError::Graph)
+/// Pays the graph-section check that opening defers
+/// ([`MappedIndex::validate_graph`](crate::snapv2::MappedIndex::validate_graph)).
+pub(crate) fn check_graph(dataset: &Dataset) -> Result<(), EngineError> {
+    dataset
+        .mapped_index()
+        .map_or(Ok(()), |index| index.validate_graph())
 }
 
-fn decode_decomp(body: &[u8], graph: &CsrGraph) -> Result<CoreDecomposition, EngineError> {
-    let mut r = SectionReader::new(body, "decomposition");
-    let n = r.count()?;
-    if n != graph.num_vertices() {
-        return Err(bad(
-            "decomposition",
-            format!(
-                "declares {n} vertices but the graph has {}",
-                graph.num_vertices()
-            ),
-        ));
-    }
-    let coreness = r.u32_vec(n)?;
-    let order = r.u32_vec(n)?;
-    let peel = r.u32_vec(n)?;
-    let shells = r.count()?;
-    let shell_raw = r.u64_vec(shells)?;
-    r.finish()?;
-    let mut shell_start = Vec::with_capacity(shell_raw.len());
-    for s in shell_raw {
-        shell_start.push(usize::try_from(s).map_err(|_| {
-            bad(
-                "decomposition",
-                format!("shell boundary {s} does not fit usize"),
-            )
-        })?);
-    }
-    CoreDecomposition::from_parts(coreness, order, peel, shell_start)
-        .map_err(|msg| bad("decomposition", msg))
-}
-
-/// Decodes and validates the ordering section, returning the owned arrays
-/// (validation happens inside `OrderedGraph::from_parts`, which borrows the
-/// graph and decomposition only transiently).
-fn decode_ordering(
-    body: &[u8],
-    graph: &CsrGraph,
-    decomp: &CoreDecomposition,
-) -> Result<(Vec<u32>, Vec<u32>, Vec<u32>, Vec<u32>), EngineError> {
-    let mut r = SectionReader::new(body, "ordering");
-    let nnz = r.count()?;
-    // bestk-analyze: allow(no-raw-graph) — ordering sections mirror the raw adjacency layout
-    let adj_len = graph.raw_neighbors().len();
-    if nnz != adj_len {
-        return Err(bad(
-            "ordering",
-            format!("declares {nnz} adjacency entries but the graph has {adj_len}"),
-        ));
-    }
-    let adj = r.u32_vec(nnz)?;
-    let n = graph.num_vertices();
-    let same = r.u32_vec(n)?;
-    let plus = r.u32_vec(n)?;
-    let high = r.u32_vec(n)?;
-    r.finish()?;
-    let ordered = OrderedGraph::from_parts(graph, decomp, adj, same, plus, high)
-        .map_err(|msg| bad("ordering", msg))?;
-    Ok(ordered.into_parts())
-}
-
-fn decode_forest(body: &[u8], graph: &CsrGraph) -> Result<CoreForest, EngineError> {
-    let mut r = SectionReader::new(body, "forest");
-    let node_count = r.count()?;
-    let mut nodes = Vec::with_capacity(node_count.min(1 << 16));
-    for _ in 0..node_count {
-        let coreness = r.u32()?;
-        let parent_raw = r.u32()?;
-        let nv = r.count()?;
-        let vertices = r.u32_vec(nv)?;
-        nodes.push(CoreForestNode {
-            coreness,
-            vertices,
-            parent: (parent_raw != u32::MAX).then_some(parent_raw),
-            children: Vec::new(),
-        });
-    }
-    let vertex_node = r.u32_vec(graph.num_vertices())?;
-    r.finish()?;
-    CoreForest::from_parts(nodes, vertex_node).map_err(|msg| bad("forest", msg))
-}
-
-fn decode_context(
-    r: &mut SectionReader<'_>,
-    section: &str,
-    graph: &CsrGraph,
-) -> Result<GraphContext, EngineError> {
-    let total_vertices = r.u64()?;
-    let total_edges = r.u64()?;
-    if total_vertices != graph.num_vertices() as u64 || total_edges != graph.num_edges() as u64 {
-        return Err(bad(
-            section,
-            format!(
-                "context ({total_vertices} vertices, {total_edges} edges) disagrees with the graph ({}, {})",
-                graph.num_vertices(),
-                graph.num_edges()
-            ),
-        ));
-    }
-    Ok(GraphContext {
-        total_vertices,
-        total_edges,
-    })
-}
-
-fn decode_set_profile(
-    body: &[u8],
-    graph: &CsrGraph,
-    decomp: &CoreDecomposition,
-) -> Result<CoreSetProfile, EngineError> {
-    let mut r = SectionReader::new(body, "set-profile");
-    let kmax = r.u32()?;
-    let has_triangles = r.u8()? != 0;
-    let context = decode_context(&mut r, "set-profile", graph)?;
-    let count = r.count()?;
-    let primaries = r.primaries(count)?;
-    r.finish()?;
-    if kmax != decomp.kmax() {
-        return Err(bad(
-            "set-profile",
-            format!(
-                "kmax {kmax} disagrees with the decomposition's {}",
-                decomp.kmax()
-            ),
-        ));
-    }
-    if count != kmax as usize + 1 {
-        return Err(bad(
-            "set-profile",
-            format!("has {count} entries; kmax {kmax} requires {}", kmax + 1),
-        ));
-    }
-    Ok(CoreSetProfile {
-        kmax,
-        primaries,
-        has_triangles,
-        context,
-    })
-}
-
-fn decode_core_profile(
-    body: &[u8],
-    graph: &CsrGraph,
-    forest: &CoreForest,
-) -> Result<SingleCoreProfile, EngineError> {
-    let mut r = SectionReader::new(body, "core-profile");
-    let has_triangles = r.u8()? != 0;
-    let context = decode_context(&mut r, "core-profile", graph)?;
-    let count = r.count()?;
-    let coreness = r.u32_vec(count)?;
-    let primaries = r.primaries(count)?;
-    r.finish()?;
-    if count != forest.node_count() {
-        return Err(bad(
-            "core-profile",
-            format!(
-                "has {count} entries but the forest has {} nodes",
-                forest.node_count()
-            ),
-        ));
-    }
-    for (i, (&c, node)) in coreness.iter().zip(forest.nodes()).enumerate() {
-        if c != node.coreness {
-            return Err(bad(
-                "core-profile",
-                format!(
-                    "entry {i} has coreness {c} but forest node {i} has {}",
-                    node.coreness
-                ),
-            ));
-        }
-    }
-    Ok(SingleCoreProfile {
-        primaries,
-        coreness,
-        has_triangles,
-        context,
-    })
-}
-
-/// Parses and validates a whole snapshot held in memory.
-///
-/// Rejections are structured: [`EngineError::BadMagic`],
-/// [`EngineError::VersionSkew`], [`EngineError::Truncated`],
-/// [`EngineError::ChecksumMismatch`], [`EngineError::TrailingBytes`],
-/// [`EngineError::MissingSection`], or [`EngineError::BadSnapshot`] for
-/// structural invariant violations.
-pub fn load_bytes(buf: &[u8]) -> Result<Dataset, EngineError> {
-    if buf.len() < 8 {
-        return Err(EngineError::Truncated { section: "magic" });
-    }
-    if &buf[..8] != MAGIC {
-        return Err(EngineError::BadMagic);
-    }
-    if buf.len() < 16 {
-        return Err(EngineError::Truncated { section: "header" });
-    }
-    let version = u32::from_le_bytes([buf[8], buf[9], buf[10], buf[11]]);
-    if version != VERSION {
-        return Err(EngineError::VersionSkew {
-            found: version,
-            supported: VERSION,
-        });
-    }
-    let section_count = u32::from_le_bytes([buf[12], buf[13], buf[14], buf[15]]) as usize;
-    let header_len = section_count
-        .checked_mul(32)
-        .and_then(|t| t.checked_add(16))
-        .ok_or(EngineError::Truncated {
-            section: "section table",
-        })?;
-    if buf.len() < header_len {
-        return Err(EngineError::Truncated {
-            section: "section table",
-        });
-    }
-
-    // Walk the table: sections must be contiguous from the header's end (so
-    // the file length is fully determined and trailing garbage detectable),
-    // with known, non-duplicate ids and intact checksums.
-    let mut bodies: [Option<&[u8]>; 6] = [None; 6];
-    let mut cursor = header_len;
-    for s in 0..section_count {
-        let entry = &buf[16 + 32 * s..16 + 32 * s + 32];
-        let mut r = SectionReader::new(entry, "section table");
-        let id = r.u32()?;
-        let _reserved = r.u32()?;
-        let offset = r.count()?;
-        let len = r.count()?;
-        let checksum = r.u64()?;
-        let name = section_name(id)
-            .ok_or_else(|| EngineError::BadSnapshot(format!("unknown section id {id}")))?;
-        if offset != cursor {
-            return Err(EngineError::BadSnapshot(format!(
-                "section {name} starts at {offset}, expected {cursor} (sections must be contiguous)"
-            )));
-        }
-        let end = offset
-            .checked_add(len)
-            .ok_or(EngineError::Truncated { section: name })?;
-        if end > buf.len() {
-            return Err(EngineError::Truncated { section: name });
-        }
-        let body = &buf[offset..end];
-        if fnv1a(body) != checksum {
-            return Err(EngineError::ChecksumMismatch { section: name });
-        }
-        let slot = (id - 1) as usize;
-        if bodies[slot].is_some() {
-            return Err(EngineError::BadSnapshot(format!(
-                "duplicate {name} section"
-            )));
-        }
-        bodies[slot] = Some(body);
-        cursor = end;
-    }
-    if cursor != buf.len() {
-        return Err(EngineError::TrailingBytes);
-    }
-    let body = |id: u32| -> Result<&[u8], EngineError> {
-        bodies[(id - 1) as usize].ok_or_else(|| {
-            // section_name is total over the six ids requested below.
-            EngineError::MissingSection(section_name(id).unwrap_or("unknown"))
-        })
-    };
-
-    let graph = decode_graph(body(SEC_GRAPH)?)?;
-    let decomp = decode_decomp(body(SEC_DECOMP)?, &graph)?;
-    let (adj, same, plus, high) = decode_ordering(body(SEC_ORDERING)?, &graph, &decomp)?;
-    let forest = decode_forest(body(SEC_FOREST)?, &graph)?;
-    let set_profile = decode_set_profile(body(SEC_SET_PROFILE)?, &graph, &decomp)?;
-    let core_profile = decode_core_profile(body(SEC_CORE_PROFILE)?, &graph, &forest)?;
-    Ok(Dataset::from_built(
-        graph,
-        Artifacts {
-            decomp,
-            adj,
-            same,
-            plus,
-            high,
-            forest,
-            set_profile,
-            core_profile,
-        },
-    ))
-}
-
-/// Reads a snapshot from any reader (buffers the stream, then parses).
-pub fn load<R: Read>(mut reader: R) -> Result<Dataset, EngineError> {
-    let mut buf = Vec::new();
-    reader.read_to_end(&mut buf)?;
-    load_bytes(&buf)
-}
-
-/// Reads a snapshot from a file path (one attempt; see
-/// [`load_path_with_retry`]).
-pub fn load_path<P: AsRef<Path>>(path: P) -> Result<Dataset, EngineError> {
-    load_path_with_retry(path, &RetryPolicy::none())
-}
-
-/// Reads a snapshot from a file path, retrying transient I/O failures
-/// under `policy`. Corruption (bad magic, checksum mismatch, truncation,
-/// …) is returned immediately — re-reading the same bad bytes cannot fix
-/// them.
-pub fn load_path_with_retry<P: AsRef<Path>>(
-    path: P,
-    policy: &RetryPolicy,
-) -> Result<Dataset, EngineError> {
-    // Version dispatch by magic sniff: a v2 file routes to the zero-copy
-    // mmap opener; everything else (v1, garbage, missing) stays on the v1
-    // path, whose own validation produces the structured error.
-    if sniff_magic(path.as_ref()) == Some(*crate::snapv2::MAGIC) {
-        return crate::snapv2::open_with_retry(path, policy);
-    }
-    let bytes = with_retries(policy, || read_snapshot_bytes(path.as_ref()))?;
-    load_bytes(&bytes)
-}
-
-/// Reads the first 8 bytes of `path`, if it has them. Errors map to
-/// `None` — the caller's real read reports them properly.
-fn sniff_magic(path: &Path) -> Option<[u8; 8]> {
-    let mut f = std::fs::File::open(path).ok()?;
-    let mut magic = [0u8; 8];
-    f.read_exact(&mut magic).ok()?;
-    Some(magic)
-}
-
-/// The resilient load ladder as a free function: read `path` (retrying
+/// The resilient load ladder as a free function: open `path` (retrying
 /// transient I/O under `retry`); on corruption, quarantine the bad file
 /// and rebuild the full index from the `source` graph file if one is
-/// given; otherwise surface the typed error.
+/// given; otherwise surface the typed error. With a `source`, the graph
+/// section is checked too, so a bad graph counts as corruption and is
+/// rebuilt rather than served.
 ///
 /// This is deliberately registry-free — every byte of disk I/O and the
 /// whole `O(m^1.5)` rebuild happen here, so callers holding a registry
@@ -813,7 +313,13 @@ pub fn load_or_rebuild(
     retry: &RetryPolicy,
     policy: &ExecPolicy,
 ) -> Result<(Dataset, LoadOutcome), EngineError> {
-    match load_path_with_retry(path, retry) {
+    let opened = crate::snapv2::open_with_retry(path, retry).and_then(|dataset| {
+        if source.is_some() {
+            check_graph(&dataset)?;
+        }
+        Ok(dataset)
+    });
+    match opened {
         Ok(dataset) => Ok((dataset, LoadOutcome::Loaded)),
         Err(e) if e.is_corruption() => {
             let source = match source {
@@ -837,175 +343,33 @@ pub fn load_or_rebuild(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bestk_core::Metric;
-    use bestk_exec::ExecPolicy;
+    use bestk_faults::{Fault, FaultPlan, SiteSpec};
     use bestk_graph::generators;
 
     use crate::query::Query;
+    use crate::snapv2;
 
-    fn built(g: CsrGraph) -> Dataset {
-        let mut ds = Dataset::from_graph(g);
+    fn built_figure2() -> Dataset {
+        let mut ds = Dataset::from_graph(generators::paper_figure2());
         ds.ensure_built(&ExecPolicy::Sequential);
         ds
     }
 
-    fn snapshot_of(g: CsrGraph) -> Vec<u8> {
-        let mut buf = Vec::new();
-        save(&built(g), &mut buf).unwrap();
-        buf
+    fn stats(ds: &Dataset) -> String {
+        ds.answer(&Query::Stats).unwrap().to_line()
     }
 
-    fn all_queries() -> Vec<Query> {
-        let mut qs = vec![Query::Stats];
-        for m in Metric::ALL {
-            qs.push(Query::BestKSet { metric: m });
-            qs.push(Query::BestCore { metric: m });
-            qs.push(Query::ScoreProfile { metric: m });
-        }
-        qs
-    }
-
-    fn answers(ds: &Dataset) -> Vec<String> {
-        ds.answer_batch(&all_queries(), &ExecPolicy::Sequential)
-            .into_iter()
-            .map(|r| r.unwrap().to_line())
-            .collect()
-    }
-
-    #[test]
-    fn round_trip_preserves_every_answer() {
-        for (name, g) in [
-            ("fig2", generators::paper_figure2()),
-            ("er", generators::erdos_renyi_gnm(150, 600, 7)),
-            ("cl", generators::chung_lu_power_law(200, 6.0, 2.4, 9)),
-            (
-                "cliques",
-                generators::overlapping_cliques(120, 20, (4, 9), 3),
-            ),
-        ] {
-            let original = built(g);
-            let mut buf = Vec::new();
-            save(&original, &mut buf).unwrap();
-            let loaded = load_bytes(&buf).unwrap();
-            assert!(loaded.is_built(), "{name}");
-            assert_eq!(loaded.graph(), original.graph(), "{name}");
-            assert_eq!(answers(&loaded), answers(&original), "{name}");
+    fn zero_backoff(attempts: u32) -> RetryPolicy {
+        RetryPolicy {
+            attempts,
+            backoff: Duration::ZERO,
         }
     }
 
-    #[test]
-    fn round_trip_empty_and_tiny() {
-        for g in [CsrGraph::empty(0), CsrGraph::empty(5)] {
-            let original = built(g);
-            let mut buf = Vec::new();
-            save(&original, &mut buf).unwrap();
-            let loaded = load_bytes(&buf).unwrap();
-            assert_eq!(loaded.graph(), original.graph());
-        }
-    }
-
-    #[test]
-    fn saving_an_unbuilt_dataset_is_an_error() {
-        let ds = Dataset::from_graph(generators::paper_figure2());
-        let err = save(&ds, &mut Vec::new()).unwrap_err();
-        assert!(matches!(err, EngineError::BadSnapshot(_)), "{err}");
-    }
-
-    #[test]
-    fn rejects_bad_magic_and_version_skew() {
-        let mut buf = snapshot_of(generators::paper_figure2());
-        let mut wrong = buf.clone();
-        wrong[0] = b'X';
-        assert!(matches!(load_bytes(&wrong), Err(EngineError::BadMagic)));
-        // Bump the version field.
-        buf[8] = 99;
-        match load_bytes(&buf) {
-            Err(EngineError::VersionSkew { found, supported }) => {
-                assert_eq!(found, 99);
-                assert_eq!(supported, VERSION);
-            }
-            other => panic!("expected VersionSkew, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn rejects_truncation_at_every_boundary() {
-        let buf = snapshot_of(generators::paper_figure2());
-        // Sweep a range of cut points: prologue, table, and payload. Every
-        // one must produce a structured error, never a panic, and cuts are
-        // always rejected (shorter files cannot be valid).
-        for cut in [0, 4, 8, 12, 15, 16, 40, 100, buf.len() - 1, buf.len() - 17] {
-            let err = load_bytes(&buf[..cut]).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    EngineError::Truncated { .. } | EngineError::BadSnapshot(_)
-                ),
-                "cut at {cut}: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn rejects_trailing_garbage() {
-        let mut buf = snapshot_of(generators::paper_figure2());
-        buf.push(0xAB);
-        assert!(matches!(load_bytes(&buf), Err(EngineError::TrailingBytes)));
-    }
-
-    #[test]
-    fn every_single_byte_flip_is_rejected_or_benign() {
-        // Flip each byte of a small snapshot: the loader must never panic,
-        // and payload corruption must surface as ChecksumMismatch (header
-        // corruption may surface as any structured error). The reserved
-        // table fields are the only bytes a flip may leave undetected.
-        let buf = snapshot_of(generators::paper_figure2());
-        let reserved: Vec<usize> = (0..6).map(|s| 16 + 32 * s + 4).collect();
-        for at in 0..buf.len() {
-            let mut corrupt = buf.clone();
-            corrupt[at] ^= 0x40;
-            let result = load_bytes(&corrupt);
-            if reserved.iter().any(|&r| (r..r + 4).contains(&at)) {
-                continue; // reserved padding: either outcome is fine
-            }
-            assert!(result.is_err(), "flip at byte {at} was accepted");
-        }
-    }
-
-    #[test]
-    fn payload_corruption_is_a_checksum_mismatch() {
-        let buf = snapshot_of(generators::paper_figure2());
-        let header_len = 16 + 32 * 6;
-        let mut corrupt = buf.clone();
-        corrupt[header_len + 3] ^= 0xFF;
-        assert!(matches!(
-            load_bytes(&corrupt),
-            Err(EngineError::ChecksumMismatch { section: "graph" })
-        ));
-        let mut corrupt = buf.clone();
-        *corrupt.last_mut().unwrap() ^= 0xFF;
-        assert!(matches!(
-            load_bytes(&corrupt),
-            Err(EngineError::ChecksumMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn consistent_but_wrong_section_is_structurally_rejected() {
-        // Re-checksum a tampered section so the CRC passes; the structural
-        // validators must still catch the lie. Corrupt the first coreness
-        // entry in the decomposition section.
-        let buf = snapshot_of(generators::paper_figure2());
-        let mut corrupt = buf.clone();
-        // Section table entry 1 (decomposition): offset at 16+32+8.
-        let entry = 16 + 32;
-        let off = u64::from_le_bytes(corrupt[entry + 8..entry + 16].try_into().unwrap()) as usize;
-        let len = u64::from_le_bytes(corrupt[entry + 16..entry + 24].try_into().unwrap()) as usize;
-        corrupt[off + 8] ^= 0x01; // first coreness value
-        let sum = fnv1a(&corrupt[off..off + len]);
-        corrupt[entry + 24..entry + 32].copy_from_slice(&sum.to_le_bytes());
-        let err = load_bytes(&corrupt).unwrap_err();
-        assert!(matches!(err, EngineError::BadSnapshot(_)), "{err}");
+    fn temp_path(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("bestk-engine-snap-{tag}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join("g.bestk")
     }
 
     #[test]
@@ -1017,32 +381,9 @@ mod tests {
     }
 
     #[test]
-    fn file_round_trip() {
-        let dir = std::env::temp_dir().join("bestk-engine-snap-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("g.bestk");
-        let original = built(generators::erdos_renyi_gnm(80, 320, 5));
-        save_path(&original, &path).unwrap();
-        let loaded = load_path(&path).unwrap();
-        assert_eq!(loaded.graph(), original.graph());
-        assert_eq!(answers(&loaded), answers(&original));
-        std::fs::remove_file(path).ok();
-    }
-
-    fn zero_backoff(attempts: u32) -> RetryPolicy {
-        RetryPolicy {
-            attempts,
-            backoff: Duration::ZERO,
-        }
-    }
-
-    #[test]
     fn injected_write_crash_heals_on_retry() {
-        use bestk_faults::{Fault, FaultPlan, SiteSpec};
-        let dir = std::env::temp_dir().join("bestk-engine-snap-wfault");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("g.bestk");
-        let original = built(generators::paper_figure2());
+        let path = temp_path("wfault");
+        let original = built_figure2();
         // One injected mid-write crash: the first attempt persists a partial
         // file and errors; the bounded retry overwrites it from scratch.
         let plan = FaultPlan::new(11).site(
@@ -1050,30 +391,27 @@ mod tests {
             SiteSpec::always(Fault::Truncate).with_budget(1),
         );
         bestk_faults::with_plan(&plan, || {
-            save_path_with_retry(&original, &path, &zero_backoff(3)).unwrap();
+            snapv2::save_path_with_retry(&original, &path, &zero_backoff(3)).unwrap();
         });
-        let loaded = load_path(&path).unwrap();
-        assert_eq!(answers(&loaded), answers(&original));
+        let loaded = crate::open_snapshot_v2(&path).unwrap();
+        assert_eq!(stats(&loaded), stats(&original));
         std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn injected_write_crash_without_retry_is_a_typed_error() {
-        use bestk_faults::{Fault, FaultPlan, SiteSpec};
-        let dir = std::env::temp_dir().join("bestk-engine-snap-wfault2");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("g.bestk");
-        let original = built(generators::paper_figure2());
+        let path = temp_path("wfault2");
+        let original = built_figure2();
         let plan = FaultPlan::new(7).site(
             sites::SNAPSHOT_WRITE,
             SiteSpec::always(Fault::Truncate).with_budget(1),
         );
         bestk_faults::with_plan(&plan, || {
-            let err = save_path(&original, &path).unwrap_err();
+            let err = crate::save_snapshot_v2_path(&original, &path).unwrap_err();
             assert!(matches!(err, EngineError::Io(_)), "{err}");
             // The partial file left behind is rejected as corrupt, never a
             // panic.
-            let err = load_path(&path).unwrap_err();
+            let err = crate::open_snapshot_v2(&path).unwrap_err();
             assert!(err.is_corruption(), "{err}");
         });
         std::fs::remove_file(path).ok();
@@ -1081,35 +419,29 @@ mod tests {
 
     #[test]
     fn transient_read_errors_retry_to_success() {
-        use bestk_faults::{Fault, FaultPlan, SiteSpec};
-        let dir = std::env::temp_dir().join("bestk-engine-snap-rfault");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("g.bestk");
-        let original = built(generators::paper_figure2());
-        save_path(&original, &path).unwrap();
+        let path = temp_path("rfault");
+        let original = built_figure2();
+        crate::save_snapshot_v2_path(&original, &path).unwrap();
         let plan = FaultPlan::new(3).site(
             sites::SNAPSHOT_READ,
             SiteSpec::mixed(vec![Fault::Interrupted, Fault::WouldBlock], 1.0).with_budget(2),
         );
         bestk_faults::with_plan(&plan, || {
             // Not enough attempts: the transient error surfaces, typed.
-            let err = load_path_with_retry(&path, &zero_backoff(1)).unwrap_err();
+            let err = snapv2::open_with_retry(&path, &zero_backoff(1)).unwrap_err();
             assert!(matches!(err, EngineError::Io(_)), "{err}");
             // Enough attempts to outlast the budget: the load succeeds.
-            let loaded = load_path_with_retry(&path, &zero_backoff(4)).unwrap();
-            assert_eq!(answers(&loaded), answers(&original));
+            let loaded = snapv2::open_with_retry(&path, &zero_backoff(4)).unwrap();
+            assert_eq!(stats(&loaded), stats(&original));
         });
         std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn injected_read_corruption_is_rejected_not_retried() {
-        use bestk_faults::{Fault, FaultPlan, SiteSpec};
-        let dir = std::env::temp_dir().join("bestk-engine-snap-cfault");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("g.bestk");
-        let original = built(generators::paper_figure2());
-        save_path(&original, &path).unwrap();
+        let path = temp_path("cfault");
+        let original = built_figure2();
+        crate::save_snapshot_v2_path(&original, &path).unwrap();
         // Injected truncation of the read buffer: shorter snapshots are
         // always structurally invalid, so every seed must yield a typed
         // corruption error (retries don't help and must not loop).
@@ -1117,19 +449,56 @@ mod tests {
             let plan =
                 FaultPlan::new(seed).site(sites::SNAPSHOT_READ, SiteSpec::always(Fault::Truncate));
             bestk_faults::with_plan(&plan, || {
-                let err = load_path_with_retry(&path, &zero_backoff(3)).unwrap_err();
+                let err = snapv2::open_with_retry(&path, &zero_backoff(3)).unwrap_err();
                 assert!(err.is_corruption(), "seed {seed}: {err}");
             });
         }
-        // Bit flips obey the chaos invariant: correct answer or typed error.
+        // Bit flips obey the chaos invariant once the deferred graph check
+        // runs: correct answer or typed error.
         for seed in 0..8 {
             let plan =
                 FaultPlan::new(seed).site(sites::SNAPSHOT_READ, SiteSpec::always(Fault::BitFlip));
-            bestk_faults::with_plan(&plan, || match load_path(&path) {
-                Ok(loaded) => assert_eq!(answers(&loaded), answers(&original)),
-                Err(err) => assert!(err.is_corruption(), "seed {seed}: {err}"),
+            bestk_faults::with_plan(&plan, || {
+                let loaded = crate::open_snapshot_v2(&path).and_then(|ds| {
+                    check_graph(&ds)?;
+                    Ok(ds)
+                });
+                match loaded {
+                    Ok(loaded) => assert_eq!(stats(&loaded), stats(&original)),
+                    Err(err) => assert!(err.is_corruption(), "seed {seed}: {err}"),
+                }
             });
         }
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn graph_corruption_is_rebuilt_only_when_a_source_is_on_offer() {
+        let path = temp_path("graphflip");
+        let source = path.with_extension("txt");
+        let quarantine = path.with_extension("bestk.quarantine");
+        std::fs::remove_file(&quarantine).ok();
+        let original = built_figure2();
+        bestk_graph::io::write_edge_list_path(&generators::paper_figure2(), &source).unwrap();
+        crate::save_snapshot_v2_path(&original, &path).unwrap();
+        // Figure 2's graph section starts right after the 64-byte header
+        // and the four-entry section table.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[192 + 100] ^= 0xff;
+        std::fs::write(&path, &bytes).unwrap();
+        let (path_str, source_str) = (path.to_str().unwrap(), source.to_str().unwrap());
+        let none = RetryPolicy::none();
+        let seq = ExecPolicy::Sequential;
+        // No source: the open stays zero-copy and does not read the graph.
+        let (_, outcome) = load_or_rebuild(path_str, None, &none, &seq).unwrap();
+        assert_eq!(outcome, LoadOutcome::Loaded);
+        // A source: the deferred check runs, fails, and the ladder rebuilds.
+        let (rebuilt, outcome) = load_or_rebuild(path_str, Some(source_str), &none, &seq).unwrap();
+        assert_eq!(outcome, LoadOutcome::Rebuilt);
+        assert!(quarantine.exists(), "corrupt file must be quarantined");
+        assert_eq!(stats(&rebuilt), stats(&original));
+        for f in [source, quarantine] {
+            std::fs::remove_file(f).ok();
+        }
     }
 }

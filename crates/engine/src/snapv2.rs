@@ -1,13 +1,12 @@
-//! Version-2 `.bestk` snapshots: zero-copy, mmap-friendly layout.
+//! `.bestk` snapshots: a zero-copy, mmap-friendly layout (`BESTKSS2`).
 //!
-//! Where version 1 deserializes every section into heap structures at
-//! load time, a v2 snapshot is *opened*: the file is memory-mapped, the
-//! 64-byte header and section table are validated, the two (tiny) profile
-//! sections are decoded, and the graph plus coreness sections are served
-//! straight out of the mapping — no allocation proportional to the graph,
-//! and **no read of the graph section at all** until a query first touches
-//! it. Cold starts on large datasets go from `O(n + m)` deserialization
-//! to `O(kmax + #cores)`.
+//! A snapshot is *opened*, not deserialized: the file is memory-mapped,
+//! the 64-byte header and section table are validated, the two (tiny)
+//! profile sections are decoded, and the graph plus coreness sections are
+//! served straight out of the mapping — no allocation proportional to the
+//! graph, and **no read of the graph section at all** until a query first
+//! touches it. A cold start costs `O(kmax + #cores)`, not `O(n + m)`
+//! deserialization.
 //!
 //! On-disk layout (all integers little-endian):
 //!
@@ -32,46 +31,57 @@
 //! | id | name           | body |
 //! |----|----------------|------|
 //! | 1  | `graph`        | the [`ByteCsr`] layout (`n u64, nnz u64, offsets (n+1)×u64, neighbors nnz×u32`) |
-//! | 5  | `set-profile`  | v1's set-profile body |
-//! | 6  | `core-profile` | v1's core-profile body |
+//! | 5  | `set-profile`  | `kmax u32, tri u8, n u64, m u64, count u64, count × 5×u64` |
+//! | 6  | `core-profile` | `tri u8, n u64, m u64, count u64, coreness count×u32, count × 5×u64` |
 //! | 7  | `coreness`     | `n × u32` |
+//!
+//! A file with the retired version-1 magic (`BESTKSS1`) is rejected as
+//! [`EngineError::VersionSkew`], which the load ladder treats as
+//! corruption: quarantine, then rebuild from source.
 //!
 //! ## Deferred graph validation
 //!
-//! [`open`] verifies the header, table, profile, and coreness checksums —
+//! [`open_mmap`] verifies the header, table, profile, and coreness checksums —
 //! all `O(kmax + #cores + n/page)` work — but **not** the graph section's
 //! checksum: hashing it would fault in the whole file and defeat the
 //! zero-copy open. The graph's `O(1)` framing header *is* cross-checked
 //! against the snapshot header, and every [`ByteCsr`] accessor is
 //! bounds-clamped, so corrupt adjacency bytes yield wrong answers, never
-//! a crash; call [`MappedIndex::validate_graph`] to pay for the full
-//! check when integrity matters more than latency.
+//! a crash. [`MappedIndex::validate_graph`] pays for the full check. The
+//! paths that can act on a bad graph run it: the strict
+//! [`Engine::load_snapshot`](crate::Engine::load_snapshot),
+//! [`load_or_rebuild`](crate::load_or_rebuild) with a rebuild source, and
+//! the write paths that read the whole graph (write-ahead-log replay and a
+//! slot's first commit, see [`crate::mutate`]). Loads without a source
+//! (serving restarts) skip it.
 
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bestk_core::{CoreSetProfile, GraphContext, SingleCoreProfile};
-use bestk_faults::sites;
 use bestk_graph::{ByteCsr, GraphView, VertexId};
 
 use crate::dataset::Dataset;
 use crate::error::EngineError;
 use crate::mmap::Mmap;
 use crate::snapshot::{
-    bad, encode_core_profile, encode_set_profile, fnv1a, put_u32, put_u64, with_retries,
-    write_snapshot_bytes, RetryPolicy, SectionReader,
+    bad, encode_core_profile, encode_set_profile, fnv1a, put_u32, put_u64, read_snapshot_bytes,
+    with_retries, write_snapshot_bytes, RetryPolicy, SectionReader,
 };
 use crate::store::{GraphStore, SnapshotSlice};
 
-/// The v2 magic bytes.
+/// The `.bestk` magic bytes.
 pub const MAGIC: &[u8; 8] = b"BESTKSS2";
-/// The v2 format version number.
+/// The format version this build reads and writes.
 pub const VERSION: u32 = 2;
+/// The retired version-1 magic, recognized only to reject it as
+/// [`EngineError::VersionSkew`].
+const V1_MAGIC: &[u8; 8] = b"BESTKSS1";
 /// Fixed header length in bytes.
 const HEADER_LEN: usize = 64;
 /// Bytes of the header covered by the header checksum.
 const HEADER_CHECKED: usize = 48;
-/// Section table entry size (identical to v1).
+/// Section table entry size.
 const ENTRY_LEN: usize = 32;
 
 const SEC_GRAPH: u32 = 1;
@@ -96,11 +106,11 @@ fn align8(x: usize) -> usize {
 
 // ---------------------------------------------------------------- writing
 
-/// Serializes a built dataset into the v2 byte layout.
+/// Serializes a built dataset into the snapshot byte layout.
 pub fn to_bytes(dataset: &Dataset) -> Result<Vec<u8>, EngineError> {
     let art = dataset.artifacts().ok_or_else(|| {
         EngineError::BadSnapshot(
-            "cannot save a v2 snapshot from a dataset whose artifacts are not built".into(),
+            "cannot save a snapshot from a dataset whose artifacts are not built".into(),
         )
     })?;
     let g = dataset.graph();
@@ -156,15 +166,10 @@ pub fn to_bytes(dataset: &Dataset) -> Result<Vec<u8>, EngineError> {
     Ok(out)
 }
 
-/// Writes a v2 snapshot to `path` (one attempt).
-pub fn save_path<P: AsRef<Path>>(dataset: &Dataset, path: P) -> Result<(), EngineError> {
-    save_path_with_retry(dataset, path, &RetryPolicy::none())
-}
-
-/// Writes a v2 snapshot to `path`, retrying transient I/O failures under
-/// `policy`. Goes through the same `snapshot.write` failpoint-instrumented
-/// single-attempt writer as v1, so injected mid-write crashes and
-/// truncations exercise this path too.
+/// Writes a snapshot to `path`, retrying transient I/O failures under
+/// `policy`. Each attempt goes through the `snapshot.write`
+/// failpoint-instrumented writer and rewrites the whole file, so an
+/// injected mid-write crash is healed by the next attempt.
 pub fn save_path_with_retry<P: AsRef<Path>>(
     dataset: &Dataset,
     path: P,
@@ -176,7 +181,7 @@ pub fn save_path_with_retry<P: AsRef<Path>>(
 
 // ---------------------------------------------------------------- opening
 
-/// The index portion of an opened v2 snapshot: decoded profiles plus
+/// The index portion of an opened snapshot: decoded profiles plus
 /// zero-copy access to the mapped coreness array.
 #[derive(Debug, Clone)]
 pub struct MappedIndex {
@@ -188,6 +193,9 @@ pub struct MappedIndex {
     graph_off: usize,
     graph_len: usize,
     graph_checksum: u64,
+    /// Set once [`MappedIndex::validate_graph`] has passed; shared by
+    /// clones, which view the same mapping.
+    graph_checked: Arc<OnceLock<()>>,
     set_profile: CoreSetProfile,
     core_profile: SingleCoreProfile,
 }
@@ -227,15 +235,20 @@ impl MappedIndex {
 
     /// Pays the deferred cost: hashes the mapped graph section against its
     /// recorded checksum and structurally validates the CSR layout. This
-    /// faults the whole graph section in — exactly the work [`open`]
-    /// skips.
+    /// faults the whole graph section in — exactly the work opening
+    /// skips. A passed check is remembered, so later calls are free.
     pub fn validate_graph(&self) -> Result<(), EngineError> {
+        if self.graph_checked.get().is_some() {
+            return Ok(());
+        }
         let body = &self.map.as_slice()[self.graph_off..self.graph_off + self.graph_len];
         if fnv1a(body) != self.graph_checksum {
             return Err(EngineError::ChecksumMismatch { section: "graph" });
         }
         let view = ByteCsr::new(body).map_err(EngineError::Graph)?;
-        view.validate_structure().map_err(EngineError::Graph)
+        view.validate_structure().map_err(EngineError::Graph)?;
+        let _ = self.graph_checked.set(());
+        Ok(())
     }
 
     /// Approximate heap bytes held by the decoded (non-mapped) parts.
@@ -244,36 +257,39 @@ impl MappedIndex {
     }
 }
 
-/// Opens a v2 snapshot: map, validate the header/table/small-section
-/// checksums, borrow the graph — and return a dataset that answers every
-/// query without deserializing the graph.
-pub fn open<P: AsRef<Path>>(path: P) -> Result<Dataset, EngineError> {
-    open_with_retry(path, &RetryPolicy::none())
-}
-
-/// [`open`] with transient I/O retries. The `snapshot.read` failpoint's
-/// injected I/O errors fire before the mapping is attempted, mirroring
-/// the v1 read path; injected buffer corruption does not apply (the bytes
-/// are the kernel's, not a heap copy) — corruption tests damage the file
-/// itself instead.
+/// Opens a snapshot, retrying transient I/O failures under `policy`: map,
+/// validate the header/table/small-section checksums, borrow the graph —
+/// and return a dataset that answers every query without deserializing
+/// the graph. While faults can fire on the calling thread the file is
+/// read through the `snapshot.read` failpoint reader (injected I/O
+/// errors, bit flips, truncation, short reads) and opened from that heap
+/// copy; otherwise it is mapped.
 pub fn open_with_retry<P: AsRef<Path>>(
     path: P,
     policy: &RetryPolicy,
 ) -> Result<Dataset, EngineError> {
     let map = with_retries(policy, || {
-        if let Some(e) = bestk_faults::io_error(sites::SNAPSHOT_READ) {
-            return Err(e);
+        if bestk_faults::is_active() {
+            read_snapshot_bytes(path.as_ref()).map(Mmap::from_vec)
+        } else {
+            Mmap::open(path.as_ref())
         }
-        Mmap::open(path.as_ref())
     })?;
     open_mmap(Arc::new(map))
 }
 
-/// Opens an already-established mapping (the testable core of [`open`]).
+/// Opens an already-established mapping (the testable core of
+/// [`open_with_retry`]).
 pub fn open_mmap(map: Arc<Mmap>) -> Result<Dataset, EngineError> {
     let buf = map.as_slice();
     if buf.len() < 8 {
         return Err(EngineError::Truncated { section: "magic" });
+    }
+    if &buf[..8] == V1_MAGIC {
+        return Err(EngineError::VersionSkew {
+            found: 1,
+            supported: VERSION,
+        });
     }
     if &buf[..8] != MAGIC {
         return Err(EngineError::BadMagic);
@@ -420,6 +436,7 @@ pub fn open_mmap(map: Arc<Mmap>) -> Result<Dataset, EngineError> {
         graph_off,
         graph_len,
         graph_checksum,
+        graph_checked: Arc::default(),
         set_profile,
         core_profile,
     };
@@ -566,8 +583,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("fig2.bestk2");
         let ds = built(generators::paper_figure2());
-        save_path(&ds, &path).unwrap();
-        let mapped = open(&path).unwrap();
+        crate::save_snapshot_v2_path(&ds, &path).unwrap();
+        let mapped = crate::open_snapshot_v2(&path).unwrap();
         assert_eq!(answers(&mapped), answers(&ds));
         let a = mapped.answer(&Query::Stats).unwrap();
         assert_eq!(
@@ -602,6 +619,20 @@ mod tests {
                 e,
                 EngineError::VersionSkew {
                     found: 9,
+                    supported: 2
+                }
+            ),
+            "{e}"
+        );
+        // The retired version-1 magic is a version skew, not a bad magic.
+        let mut b = bytes.clone();
+        b[..8].copy_from_slice(V1_MAGIC);
+        let e = open_mmap(Arc::new(Mmap::from_vec(b))).unwrap_err();
+        assert!(
+            matches!(
+                e,
+                EngineError::VersionSkew {
+                    found: 1,
                     supported: 2
                 }
             ),

@@ -14,7 +14,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
-use bestk_engine::{serve_on_listener, snapshot, Dataset, ServeLimits, SharedEngine};
+use bestk_engine::{save_snapshot_v2_path, serve_on_listener, Dataset, ServeLimits, SharedEngine};
 use bestk_exec::ExecPolicy;
 use bestk_graph::generators;
 
@@ -36,7 +36,7 @@ fn fig2_snapshot_path(tag: &str) -> std::path::PathBuf {
     let path = dir.join(format!("fig2-{tag}.bestk"));
     let mut ds = Dataset::from_graph(generators::paper_figure2());
     ds.ensure_built(&ExecPolicy::Sequential);
-    snapshot::save_path(&ds, &path).expect("save snapshot");
+    save_snapshot_v2_path(&ds, &path).expect("save snapshot");
     path
 }
 

@@ -1,12 +1,15 @@
-//! Property test: a `save → load` round trip answers every query
-//! byte-identically to the fresh in-memory dataset.
+//! Property test: a `save → open` round trip answers every query
+//! byte-identically to the fresh in-memory dataset, and the opened graph
+//! section passes the deferred graph check.
 //!
 //! Three generator families (Erdős–Rényi G(n,m), Chung–Lu power-law,
 //! planted overlapping cliques) plus fully random testkit graphs are swept
 //! with seeded cases; failures replay via `BESTK_PROP_SEED`.
 
+use std::sync::Arc;
+
 use bestk_core::Metric;
-use bestk_engine::{snapshot, Dataset, Query};
+use bestk_engine::{mmap::Mmap, snapv2, Dataset, Query};
 use bestk_exec::ExecPolicy;
 use bestk_graph::{generators, testkit, CsrGraph, GraphView};
 
@@ -45,10 +48,11 @@ fn answer_lines(ds: &Dataset, policy: &ExecPolicy) -> Vec<String> {
 
 fn assert_roundtrip(g: CsrGraph, label: &str) {
     let original = built(g);
-    let mut buf = Vec::new();
-    snapshot::save(&original, &mut buf).expect("save");
-    let loaded = snapshot::load_bytes(&buf).expect("load");
+    let bytes = snapv2::to_bytes(&original).expect("save");
+    let loaded = snapv2::open_mmap(Arc::new(Mmap::from_vec(bytes))).expect("open");
     assert!(loaded.is_built(), "{label}: snapshot must arrive built");
+    let index = loaded.mapped_index().expect("opened snapshots are mapped");
+    index.validate_graph().expect("graph section checks out");
     assert_eq!(loaded.graph(), original.graph(), "{label}: graph mismatch");
     let seq = ExecPolicy::Sequential;
     let fresh = answer_lines(&original, &seq);
@@ -116,4 +120,11 @@ fn prop_roundtrip_testkit_random_graphs() {
         let g = gen.graph(100, 400);
         assert_roundtrip(g, "testkit random graph");
     });
+}
+
+#[test]
+fn roundtrip_empty_and_edgeless_graphs() {
+    for n in [0, 5] {
+        assert_roundtrip(CsrGraph::empty(n), &format!("edgeless n={n}"));
+    }
 }

@@ -23,10 +23,14 @@
 //!
 //! ## Activation
 //!
-//! Plans are process-global. Tests use [`with_plan`], which serializes
-//! plan-holding tests behind a gate and always clears the plan on exit
-//! (even across panics). Binaries call [`init_from_env`] once at startup,
-//! which parses the `BESTK_FAULTS` environment variable:
+//! Tests use [`with_plan`], which serializes plan-holding tests behind a
+//! gate, always clears the plan on exit (even across panics), and fires
+//! the plan only on the calling thread and on threads that enter its
+//! [`Scope`] — so tests running beside it see no faults. Code that fans
+//! work out to other threads carries the caller's [`scope`] along.
+//! Binaries call [`init_from_env`] once at startup, which installs a
+//! process-global plan parsed from the `BESTK_FAULTS` environment
+//! variable:
 //!
 //! ```text
 //! BESTK_FAULTS="seed=7;snapshot.read=bitflip|interrupted@0.5;exec.worker=panic@0.1#3"
@@ -54,6 +58,6 @@ pub use inject::{
 };
 pub use plan::{Fault, FaultPlan, SiteSpec};
 pub use state::{
-    clear_plan, init_from_env, injection_count, install_plan, is_enabled, roll,
-    site_injection_counts, with_plan, ENV_VAR,
+    clear_plan, init_from_env, injection_count, install_plan, is_active, is_enabled, roll, scope,
+    site_injection_counts, with_plan, Scope, ENV_VAR,
 };

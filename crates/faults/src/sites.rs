@@ -6,11 +6,14 @@
 //! `DESIGN.md` §11 for what each site guards and how the hardened layers
 //! respond.
 
-/// Snapshot file reads (`bestk_engine::snapshot::load_path`): transient
-/// errors retry with backoff; corruption degrades to quarantine + rebuild.
+/// Snapshot file reads (`bestk_engine::snapv2::open_with_retry`, which
+/// reads through this failpoint instead of mapping whenever faults can
+/// fire on the calling thread): transient errors retry with backoff; bit
+/// flips, truncation and short reads degrade to quarantine + rebuild.
 pub const SNAPSHOT_READ: &str = "snapshot.read";
 
-/// Snapshot file writes (`bestk_engine::snapshot::save_path`): `truncate`
+/// Snapshot file writes (`bestk_engine::save_snapshot_v2_path` and
+/// `bestk_engine::snapv2::save_path_with_retry`): `truncate`
 /// simulates a mid-write crash leaving a partial file on disk.
 pub const SNAPSHOT_WRITE: &str = "snapshot.write";
 

@@ -17,6 +17,7 @@
 //! / `INJECTED` statics is a lock-free disabled fast path (one relaxed
 //! load); routing them through the obs seam would reintroduce the lock.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -37,7 +38,14 @@ struct ActiveSite {
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Set while a [`with_plan`] plan is live: such a plan fires only on
+/// threads inside its [`Scope`], so tests running beside it see no faults.
+static SCOPED: AtomicBool = AtomicBool::new(false);
 static INJECTED: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    static IN_SCOPE: Cell<bool> = const { Cell::new(false) };
+}
 static PLAN: Mutex<Option<BTreeMap<String, ActiveSite>>> = Mutex::new(None);
 static TEST_GATE: Mutex<()> = Mutex::new(());
 
@@ -98,6 +106,12 @@ pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
+/// Whether faults can fire on the calling thread: a plan is installed and,
+/// for a [`with_plan`] plan, this thread is inside its [`Scope`].
+pub fn is_active() -> bool {
+    ENABLED.load(Ordering::Relaxed) && (!SCOPED.load(Ordering::Relaxed) || IN_SCOPE.with(Cell::get))
+}
+
 /// Total faults injected since process start (across all plans).
 pub fn injection_count() -> u64 {
     INJECTED.load(Ordering::Relaxed)
@@ -116,7 +130,7 @@ pub(crate) struct Shot {
 /// configured as, say, a bit flip destined for a different helper on the
 /// same site.
 pub(crate) fn roll_matching(site: &str, accepts: impl Fn(Fault) -> bool) -> Option<Shot> {
-    if !ENABLED.load(Ordering::Relaxed) {
+    if !is_active() {
         return None;
     }
     roll_slow(site, &accepts)
@@ -172,18 +186,49 @@ pub fn roll(site: &str) -> Option<Fault> {
 
 /// Installs `plan`, runs `f`, and clears the plan again — always, even if
 /// `f` panics. A process-global gate serializes callers so concurrently
-/// running tests cannot interleave their plans.
+/// running tests cannot interleave their plans, and the plan fires only
+/// on the calling thread and on threads that enter its [`Scope`] — so
+/// tests running beside it, which hold no plan, see no faults.
 pub fn with_plan<R>(plan: &FaultPlan, f: impl FnOnce() -> R) -> R {
     let _gate = lock(&TEST_GATE);
     struct Reset;
     impl Drop for Reset {
         fn drop(&mut self) {
             clear_plan();
+            SCOPED.store(false, Ordering::Release);
         }
     }
     let _reset = Reset;
+    SCOPED.store(true, Ordering::Release);
     install_plan(plan);
-    f()
+    Scope(true).enter(f)
+}
+
+/// Whether a thread sees the faults of a [`with_plan`] plan. Capture it
+/// with [`scope`] before fanning work out to other threads, and run the
+/// work under [`Scope::enter`] there. Plans installed by
+/// [`init_from_env`] fire on every thread regardless.
+#[derive(Debug, Clone, Copy)]
+pub struct Scope(bool);
+
+/// The calling thread's [`Scope`].
+pub fn scope() -> Scope {
+    Scope(IN_SCOPE.with(Cell::get))
+}
+
+impl Scope {
+    /// Runs `f` on the current thread under this scope, restoring the
+    /// thread's own scope afterwards (also if `f` panics).
+    pub fn enter<R>(self, f: impl FnOnce() -> R) -> R {
+        struct Restore(bool);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                IN_SCOPE.with(|s| s.set(self.0));
+            }
+        }
+        let _restore = Restore(IN_SCOPE.with(|s| s.replace(self.0)));
+        f()
+    }
 }
 
 /// Reads the `BESTK_FAULTS` environment variable and, if set and
@@ -265,6 +310,23 @@ mod tests {
                 assert_eq!(shot.fault, Fault::BitFlip);
             }
             assert!(roll_matching("s", |f| f == Fault::Panic).is_none());
+        });
+    }
+
+    #[test]
+    fn with_plan_faults_reach_only_threads_in_its_scope() {
+        let plan = FaultPlan::new(3).site("s", SiteSpec::always(Fault::IoError));
+        with_plan(&plan, || {
+            let inside = scope();
+            std::thread::scope(|threads| {
+                threads.spawn(|| {
+                    assert!(!is_active(), "a thread outside the scope");
+                    assert!(roll("s").is_none());
+                    assert!(inside.enter(is_active));
+                    assert_eq!(inside.enter(|| roll("s")), Some(Fault::IoError));
+                    assert!(roll("s").is_none(), "enter restores the thread's scope");
+                });
+            });
         });
     }
 

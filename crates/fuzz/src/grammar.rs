@@ -134,9 +134,9 @@ pub fn binary_graph(base: &[u8], seed: u64) -> Vec<u8> {
 
 // ------------------------------------------------------------- snapshots
 
-/// Structured corruption of a valid snapshot (v1 `.bestk` or v2
-/// `BESTKSS2`): header fields, section-table entries, body bytes,
-/// truncation at and off section boundaries, appended trailers.
+/// Structured corruption of a valid `BESTKSS2` `.bestk` snapshot: header
+/// fields, section-table entries, body bytes, truncation at and off
+/// section boundaries, appended trailers.
 pub fn snapshot(base: &[u8], seed: u64) -> Vec<u8> {
     corrupt_framed(base, seed ^ 0x94d0_49bb_1331_11eb)
 }

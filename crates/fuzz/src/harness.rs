@@ -41,8 +41,8 @@ pub enum Surface {
     /// The textual and binary graph readers (`read_edge_list`,
     /// `read_metis`, `read_binary`).
     GraphIo,
-    /// The `.bestk` snapshot loaders, v1 (`load_bytes`) and v2
-    /// (`open_mmap` over `BESTKSS2`).
+    /// The `.bestk` snapshot opener (`open_mmap` over `BESTKSS2`) and the
+    /// deferred graph-section check (`validate_graph`).
     Snapshot,
     /// The `BESTKWAL1` write-ahead-log replayer (`replay_bytes`).
     Wal,
@@ -188,28 +188,19 @@ fn check_graph_io(bytes: &[u8], _budget: usize) -> Check {
 }
 
 fn check_snapshot(bytes: &[u8], _budget: usize) -> Check {
-    let mut any_valid = false;
-    let v1 = contained(|| match bestk_engine::snapshot::load_bytes(bytes) {
-        Ok(ds) => snapshot_verdict(&ds, bytes.len()),
-        Err(_) => Check::TypedError,
-    });
     let map = Arc::new(Mmap::from_vec(bytes.to_vec()));
-    let v2 = contained(|| match bestk_engine::snapv2::open_mmap(map) {
-        Ok(ds) => snapshot_verdict(&ds, bytes.len()),
+    contained(|| match bestk_engine::snapv2::open_mmap(map) {
+        // The strict loads follow the open with the deferred graph check,
+        // so hostile graph bytes must meet a typed error there too.
+        Ok(ds) => match ds
+            .mapped_index()
+            .map_or(Ok(()), |index| index.validate_graph())
+        {
+            Ok(()) => snapshot_verdict(&ds, bytes.len()),
+            Err(_) => Check::TypedError,
+        },
         Err(_) => Check::TypedError,
-    });
-    for v in [v1, v2] {
-        match v {
-            Check::Valid => any_valid = true,
-            Check::TypedError => {}
-            finding => return finding,
-        }
-    }
-    if any_valid {
-        Check::Valid
-    } else {
-        Check::TypedError
-    }
+    })
 }
 
 fn snapshot_verdict(ds: &Dataset, input_len: usize) -> Check {
@@ -277,10 +268,7 @@ pub fn base_inputs(surface: Surface) -> Vec<Vec<u8>> {
             io::write_binary(&g, &mut binary).expect("write binary"); // bestk-analyze: allow(no-unwrap) — base exemplar encode cannot fail
             vec![edge_list, metis, binary]
         }
-        Surface::Snapshot => {
-            let ds = built_figure2();
-            vec![snapshot_v1_bytes(&ds), snapshot_v2_bytes(&ds)]
-        }
+        Surface::Snapshot => vec![snapshot_bytes(&built_figure2())],
         Surface::Wal => {
             // A fully valid stream: magic + insert/delete/commit frames.
             let mut rng_free = Vec::new();
@@ -314,19 +302,8 @@ fn built_figure2() -> Dataset {
     ds
 }
 
-fn snapshot_v1_bytes(ds: &Dataset) -> Vec<u8> {
-    // v1 has no in-memory encoder, so bounce through a temp file.
-    let dir = std::env::temp_dir().join(format!("bestk-fuzz-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir"); // bestk-analyze: allow(no-unwrap) — exemplar fixture setup, broken build if it fails
-    let path = dir.join("base-v1.bestk");
-    bestk_engine::save_snapshot_path(ds, &path).expect("save v1"); // bestk-analyze: allow(no-unwrap) — exemplar fixture setup, broken build if it fails
-    let bytes = std::fs::read(&path).expect("read v1"); // bestk-analyze: allow(no-unwrap) — exemplar fixture setup, broken build if it fails
-    let _ = std::fs::remove_file(&path);
-    bytes
-}
-
-fn snapshot_v2_bytes(ds: &Dataset) -> Vec<u8> {
-    bestk_engine::snapv2::to_bytes(ds).expect("encode v2") // bestk-analyze: allow(no-unwrap) — exemplar fixture setup, broken build if it fails
+fn snapshot_bytes(ds: &Dataset) -> Vec<u8> {
+    bestk_engine::snapv2::to_bytes(ds).expect("encode snapshot") // bestk-analyze: allow(no-unwrap) — exemplar fixture setup, broken build if it fails
 }
 
 /// Per-seed inputs: the grammar generator's almost-valid input(s) plus

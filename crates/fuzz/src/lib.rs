@@ -1,9 +1,9 @@
 //! `bestk-fuzz`: structured fuzzing for the workspace's parse surfaces.
 //!
 //! The workspace accepts untrusted bytes in four places: the graph
-//! readers (edge list / METIS / `BESTKGR1`), the `.bestk` snapshot
-//! loaders (v1 and the zero-copy `BESTKSS2` v2), the `BESTKWAL1`
-//! write-ahead log, and the line-oriented serve protocol. This crate
+//! readers (edge list / METIS / `BESTKGR1`), the zero-copy `BESTKSS2`
+//! `.bestk` snapshot opener, the `BESTKWAL1` write-ahead log, and the
+//! line-oriented serve protocol. This crate
 //! attacks each of them with the contract *typed error or valid result,
 //! never panic, never OOM beyond a byte budget*, using only the in-repo
 //! [`bestk_graph::rng`] streams — no external fuzzing dependency, and

@@ -20,7 +20,8 @@ use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 
 use bestk_engine::{
-    serve_lines, snapshot, Control, Dataset, RetryPolicy, ServeLimits, SharedEngine,
+    open_snapshot_v2, save_snapshot_v2_path, serve_lines, snapv2, Control, Dataset, RetryPolicy,
+    ServeLimits, SharedEngine,
 };
 use bestk_exec::ExecPolicy;
 use bestk_faults::{sites, Fault, FaultPlan, SiteSpec};
@@ -40,8 +41,10 @@ const COREOF: &str = "ok\tcoreof\t5\tcoreness=2";
 const BESTKSET: &str = "ok\tbestkset\tad\tk=2\tscore=3.1666666666666665";
 
 /// Fresh scratch dir with the Figure-2 source edge list and a built
-/// `.bestk` snapshot (both created with no fault plan active).
+/// `.bestk` snapshot (both created with no fault plan active). Spaces in
+/// `tag` become dashes: the serve protocol splits `load` on whitespace.
 fn fixture(tag: &str) -> (PathBuf, PathBuf, PathBuf) {
+    let tag = tag.replace(' ', "-");
     let dir = std::env::temp_dir().join(format!("bestk-chaos-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("mkdir");
@@ -51,7 +54,7 @@ fn fixture(tag: &str) -> (PathBuf, PathBuf, PathBuf) {
     bestk_graph::io::write_edge_list_path(&g, &source).expect("write source");
     let mut ds = Dataset::from_graph(g);
     ds.ensure_built(&ExecPolicy::Sequential);
-    snapshot::save_path(&ds, &snap).expect("write snapshot");
+    save_snapshot_v2_path(&ds, &snap).expect("write snapshot");
     (dir, source, snap)
 }
 
@@ -181,6 +184,31 @@ fn snapshot_read_faults_yield_correct_answers_or_typed_errors() {
         );
         run_session(&plan, true, &format!("snapshot.read seed {seed}"));
     }
+    // Corruption-only plans: `io_error` never draws these kinds, so every
+    // count the site's metric gains is a bit flip or truncation that
+    // reached the snapshot reader.
+    let read_injections = || {
+        injected_metrics()
+            .into_iter()
+            .find_map(|(site, n)| (site == sites::SNAPSHOT_READ).then_some(n))
+            .unwrap_or(0)
+    };
+    let before = read_injections();
+    for seed in 0..8 {
+        let plan = FaultPlan::new(seed).site(
+            sites::SNAPSHOT_READ,
+            SiteSpec::mixed(vec![Fault::BitFlip, Fault::Truncate], 0.6),
+        );
+        run_session(
+            &plan,
+            true,
+            &format!("snapshot.read corruption seed {seed}"),
+        );
+    }
+    assert!(
+        read_injections() > before,
+        "bit flips and truncations must reach the snapshot reader"
+    );
 }
 
 #[test]
@@ -284,11 +312,11 @@ fn snapshot_write_crashes_heal_or_fail_typed() {
                 attempts: 3,
                 backoff: std::time::Duration::ZERO,
             };
-            match snapshot::save_path_with_retry(&ds, &path, &retry) {
+            match snapv2::save_path_with_retry(&ds, &path, &retry) {
                 Ok(()) => {
                     // A successful save must round-trip to the same answers
                     // (read with retries: the plan is still live).
-                    let loaded = snapshot::load_path_with_retry(&path, &retry);
+                    let loaded = snapv2::open_with_retry(&path, &retry);
                     if let Ok(back) = loaded {
                         let stats = back
                             .answer(&bestk_engine::Query::Stats)
@@ -304,7 +332,7 @@ fn snapshot_write_crashes_heal_or_fail_typed() {
                     assert!(!msg.is_empty(), "seed {seed}");
                     if path.exists() {
                         assert!(
-                            snapshot::load_path(&path).is_err(),
+                            open_snapshot_v2(&path).is_err(),
                             "seed {seed}: partial write must not load cleanly"
                         );
                     }
@@ -322,8 +350,9 @@ fn corrupt_snapshot_on_startup_quarantines_and_rebuilds() {
     for seed in 0..8usize {
         let (dir, source, snap) = fixture(&format!("corrupt{seed}"));
         // Deterministic manual corruption: flip one byte, position varying
-        // with the seed (past the magic so format sniffing still says
-        // "snapshot").
+        // with the seed (past the magic, so the file still reads as a
+        // snapshot). Seeds 2 and 3 land in the graph section, which only
+        // the load's deferred graph check catches.
         let mut bytes = std::fs::read(&snap).expect("read snapshot");
         let at = 16 + (seed * 131) % (bytes.len() - 16);
         bytes[at] ^= 0xff;

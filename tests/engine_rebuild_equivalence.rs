@@ -2,19 +2,22 @@
 //! that *rebuilds* artifacts inside the serving stack — a clean rebuild
 //! from a source edge list, quarantine recovery from a corrupt snapshot,
 //! and the write-ahead-log compaction that rewrites the snapshot in place
-//! — must produce **byte-identical** snapshots (v1 and v2) whether the
-//! build ran under the sequential oracle or the parallel bucket-frontier
-//! primary at any thread count.
+//! — must produce **byte-identical** snapshots, and identical peel order,
+//! Alg. 1 ordering, core forest, and profiles, whether the build ran under
+//! the sequential oracle or the parallel bucket-frontier primary at any
+//! thread count.
 //!
 //! This is what makes `PeelStrategy::Parallel` safe as the default for
 //! `ExecPolicy::Parallel` in the CLI and server: operators can mix
 //! `--threads` values across restarts, replicas, and recovery events and
 //! still get bit-reproducible `.bestk` files.
 
+mod common;
+
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use bestk_engine::{serve_lines, snapshot, snapv2, Dataset, SharedEngine};
+use bestk_engine::{save_snapshot_v2_path, serve_lines, Dataset, RetryPolicy, SharedEngine};
 use bestk_exec::ExecPolicy;
 use bestk_graph::generators::{self, edge_stream_mixed};
 use bestk_graph::CsrGraph;
@@ -36,16 +39,6 @@ fn base_graph() -> CsrGraph {
     generators::shell_ladder(7, 9)
 }
 
-/// v1 and v2 snapshot bytes of a built dataset.
-fn snapshot_bytes(ds: &Dataset, dir: &Path, tag: &str) -> (Vec<u8>, Vec<u8>) {
-    let mut v1 = Vec::new();
-    snapshot::save(ds, &mut v1).expect("save v1");
-    let v2_path = dir.join(format!("{tag}.bestk2"));
-    snapv2::save_path(ds, &v2_path).expect("save v2");
-    let v2 = std::fs::read(&v2_path).expect("read v2");
-    (v1, v2)
-}
-
 /// Takes the named dataset out of the engine, forcing the lazy artifact
 /// build first (under `policy`) so the snapshot has something to persist.
 fn built_dataset(eng: &SharedEngine, name: &str, policy: &ExecPolicy) -> Arc<Dataset> {
@@ -58,11 +51,13 @@ fn built_dataset(eng: &SharedEngine, name: &str, policy: &ExecPolicy) -> Arc<Dat
 
 /// Writes a freshly built snapshot of `g` at `path` and flips one byte
 /// past the magic, so the loader sees a checksum failure (corruption, not
-/// a transient I/O error) and takes the quarantine-and-rebuild rung.
+/// a transient I/O error) and takes the quarantine-and-rebuild rung. The
+/// flips of seeds 3 and 5 land in the graph section, whose checksum the
+/// load checks because it has a rebuild source.
 fn write_corrupt_snapshot(g: &CsrGraph, path: &Path, seed: usize) {
     let mut ds = Dataset::from_graph(g.clone());
     ds.ensure_built(&ExecPolicy::Sequential);
-    snapshot::save_path(&ds, path).expect("write snapshot");
+    save_snapshot_v2_path(&ds, path).expect("write snapshot");
     let mut bytes = std::fs::read(path).expect("read snapshot");
     let at = 16 + (seed * 131) % (bytes.len() - 16);
     bytes[at] ^= 0xff;
@@ -76,7 +71,7 @@ fn quarantine_rebuild_is_byte_identical_across_strategies() {
     let source = dir.join("g.txt");
     bestk_graph::io::write_edge_list_path(&g, &source).expect("write source");
 
-    let mut reference: Option<(Vec<u8>, Vec<u8>)> = None;
+    let mut reference: Option<Arc<Dataset>> = None;
     for (label, policy) in std::iter::once(("seq".to_string(), ExecPolicy::Sequential))
         .chain(THREADS.map(|t| (format!("par{t}"), ExecPolicy::with_threads(t).unwrap())))
     {
@@ -89,7 +84,7 @@ fn quarantine_rebuild_is_byte_identical_across_strategies() {
                 "g",
                 snap.to_str().unwrap(),
                 Some(source.to_str().unwrap()),
-                &snapshot::RetryPolicy::none(),
+                &RetryPolicy::none(),
                 &policy,
             )
             .expect("resilient load");
@@ -100,13 +95,9 @@ fn quarantine_rebuild_is_byte_identical_across_strategies() {
         );
 
         let ds = built_dataset(&eng, "g", &policy);
-        let bytes = snapshot_bytes(&ds, &dir, &label);
         match &reference {
-            None => reference = Some(bytes),
-            Some(want) => {
-                assert_eq!(bytes.0, want.0, "{label}: v1 bytes");
-                assert_eq!(bytes.1, want.1, "{label}: v2 bytes");
-            }
+            None => reference = Some(ds),
+            Some(want) => common::assert_same_index(&ds, want, &label),
         }
     }
     let _ = std::fs::remove_dir_all(dir);
@@ -123,7 +114,7 @@ fn serve_stack_rebuild_from_source_is_byte_identical() {
     let source = dir.join("g.txt");
     bestk_graph::io::write_edge_list_path(&g, &source).expect("write source");
 
-    let mut reference: Option<(Vec<u8>, Vec<u8>)> = None;
+    let mut reference: Option<Arc<Dataset>> = None;
     for (label, policy) in std::iter::once(("seq".to_string(), ExecPolicy::Sequential))
         .chain(THREADS.map(|t| (format!("par{t}"), ExecPolicy::with_threads(t).unwrap())))
     {
@@ -147,13 +138,9 @@ fn serve_stack_rebuild_from_source_is_byte_identical() {
         );
 
         let ds = built_dataset(&eng, "g", &policy);
-        let bytes = snapshot_bytes(&ds, &dir, &label);
         match &reference {
-            None => reference = Some(bytes),
-            Some(want) => {
-                assert_eq!(bytes.0, want.0, "{label}: v1 bytes");
-                assert_eq!(bytes.1, want.1, "{label}: v2 bytes");
-            }
+            None => reference = Some(ds),
+            Some(want) => common::assert_same_index(&ds, want, &label),
         }
     }
     let _ = std::fs::remove_dir_all(dir);
@@ -162,7 +149,7 @@ fn serve_stack_rebuild_from_source_is_byte_identical() {
 #[test]
 fn wal_compaction_is_byte_identical_across_strategies() {
     // Stage COMPACT_OPS valid mutations and commit once: the commit folds
-    // the log and rewrites the snapshot path as a v2 file. That on-disk
+    // the log and rewrites the snapshot file in place. That on-disk
     // compacted snapshot — produced entirely inside the engine, under
     // whatever policy the operator ran with — must be byte-identical
     // across strategies, and so must the dataset the engine keeps serving.
@@ -171,21 +158,21 @@ fn wal_compaction_is_byte_identical_across_strategies() {
     let ops = edge_stream_mixed(&g, bestk_engine::COMPACT_OPS as usize, 41);
     assert_eq!(ops.len(), bestk_engine::COMPACT_OPS as usize);
 
-    let mut reference: Option<(Vec<u8>, (Vec<u8>, Vec<u8>))> = None;
+    let mut reference: Option<(Vec<u8>, Arc<Dataset>)> = None;
     for (label, policy) in std::iter::once(("seq".to_string(), ExecPolicy::Sequential))
         .chain(THREADS.map(|t| (format!("par{t}"), ExecPolicy::with_threads(t).unwrap())))
     {
         let snap = dir.join(format!("{label}.bestk"));
         let mut ds = Dataset::from_graph(g.clone());
         ds.ensure_built(&ExecPolicy::Sequential);
-        snapshot::save_path(&ds, &snap).expect("write snapshot");
+        save_snapshot_v2_path(&ds, &snap).expect("write snapshot");
 
         let eng = SharedEngine::with_budget(None);
         eng.load_snapshot_with_fallback(
             "g",
             snap.to_str().unwrap(),
             None,
-            &snapshot::RetryPolicy::none(),
+            &RetryPolicy::none(),
             &policy,
         )
         .expect("load");
@@ -197,13 +184,11 @@ fn wal_compaction_is_byte_identical_across_strategies() {
 
         let compacted = std::fs::read(&snap).expect("read compacted snapshot");
         let ds = built_dataset(&eng, "g", &policy);
-        let bytes = snapshot_bytes(&ds, &dir, &label);
         match &reference {
-            None => reference = Some((compacted, bytes)),
+            None => reference = Some((compacted, ds)),
             Some((want_disk, want)) => {
                 assert_eq!(&compacted, want_disk, "{label}: compacted file bytes");
-                assert_eq!(bytes.0, want.0, "{label}: v1 bytes");
-                assert_eq!(bytes.1, want.1, "{label}: v2 bytes");
+                common::assert_same_index(&ds, want, &label);
             }
         }
     }

@@ -6,7 +6,8 @@
 //!
 //! The binary seeds (snapshot images, WAL frames) are materialized by
 //! the ignored `regenerate_binary_corpus` test below, so they always
-//! come from the current encoders; see `tests/corpus/README.md`.
+//! come from the current encoders — except the hand-kept rejection seeds
+//! listed in `tests/corpus/README.md`.
 
 use std::path::{Path, PathBuf};
 
@@ -126,7 +127,7 @@ fn regenerate_binary_corpus() {
         std::fs::create_dir_all(&dir).expect("corpus dir");
         let names: &[&str] = match surface {
             Surface::GraphIo => &["figure2-edges.txt", "figure2-metis.graph", "figure2.bin"],
-            Surface::Snapshot => &["figure2-v1.bestk", "figure2-v2.bestk"],
+            Surface::Snapshot => &["figure2-v2.bestk"],
             Surface::Wal => &["valid.wal"],
             Surface::Serve => &[],
         };
@@ -153,7 +154,7 @@ fn regenerate_binary_corpus() {
     .expect("write torn wal");
     std::fs::write(corpus_dir(Surface::Wal).join("empty.wal"), b"").expect("write empty wal");
 
-    let v2 = base_inputs(Surface::Snapshot).remove(1);
+    let v2 = base_inputs(Surface::Snapshot).remove(0);
     let mut flipped = v2.clone();
     let mid = flipped.len() / 2;
     flipped[mid] ^= 0x01;

@@ -5,9 +5,9 @@
 //! oracle. This suite proves they are **bit-identical** — coreness, rank
 //! order, shell boundaries, the peel order itself, the Alg. 1 position
 //! tags, the Alg. 2 per-k primaries, and the serialized `.bestk` snapshot
-//! bytes (v1 *and* v2) — at threads {1, 2, 4, 7}, over random graphs and
-//! the adversarial shapes (`k_chain`, `shell_ladder`, `tie_storm`,
-//! max-degeneracy cliques).
+//! bytes — at threads {1, 2, 4, 7}, over random graphs and the adversarial
+//! shapes (`k_chain`, `shell_ladder`, `tie_storm`, max-degeneracy
+//! cliques).
 //!
 //! A third, independent reference implementation of the canonical peel
 //! lives in this file and exposes what the production API hides (sub-round
@@ -21,6 +21,8 @@
 //! (`BESTK_PROP_SEED` / `BESTK_PROP_CASES`), like the other equivalence
 //! suites.
 
+mod common;
+
 use bestk::core::{
     core_decomposition, core_decomposition_with, core_set_profile, par_peel, CoreDecomposition,
     OrderedGraph, PeelStrategy,
@@ -29,7 +31,7 @@ use bestk::exec::ExecPolicy;
 use bestk::graph::generators::{self, regular};
 use bestk::graph::testkit::{check, Gen};
 use bestk::graph::{CsrGraph, VertexId};
-use bestk_engine::{snapshot, snapv2, Dataset};
+use bestk_engine::Dataset;
 
 /// Thread counts the parallel strategy is exercised at. 7 is deliberately
 /// prime and larger than the chunk-per-worker alignment assumptions.
@@ -37,6 +39,14 @@ const THREADS: [usize; 4] = [1, 2, 4, 7];
 
 /// Forces every sub-round through `for_each_disjoint`, however small.
 const FORCE_PARALLEL: usize = 0;
+
+/// Serializes the tests within this binary: `bestk::obs::with_fresh` swaps
+/// the process-global metrics registry, so a sibling test peeling while
+/// the observed-rounds test runs would write into its fresh registry.
+fn gate() -> std::sync::MutexGuard<'static, ()> {
+    static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    GATE.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Asserts the parallel primary reproduces the oracle bit-for-bit on `g`,
 /// including the downstream artifacts the sweep consumes (tags and per-k
@@ -72,6 +82,7 @@ fn assert_strategies_agree(g: &CsrGraph, context: &str) {
 
 #[test]
 fn random_graphs_are_bit_identical() {
+    let _g = gate();
     check("peel equivalence random sweep", 24, |gen: &mut Gen| {
         let g = gen.graph(60, 220);
         assert_strategies_agree(&g, "random");
@@ -80,6 +91,7 @@ fn random_graphs_are_bit_identical() {
 
 #[test]
 fn sparse_and_degenerate_shapes_are_bit_identical() {
+    let _g = gate();
     for (name, g) in [
         ("empty", CsrGraph::empty(0)),
         ("isolated", CsrGraph::empty(5)),
@@ -99,6 +111,7 @@ fn sparse_and_degenerate_shapes_are_bit_identical() {
 
 #[test]
 fn adversarial_shapes_are_bit_identical() {
+    let _g = gate();
     // Maximum shell depth, wide shells over a deep core, cross-component
     // ties, and max-degeneracy constructions (a clique peels in one
     // simultaneous frontier; a clique chain cascades through bridges).
@@ -119,40 +132,24 @@ fn adversarial_shapes_are_bit_identical() {
 
 #[test]
 fn snapshot_bytes_are_identical_under_both_strategies() {
+    let _g = gate();
     // The end-to-end determinism contract: a dataset built under the
     // parallel policy serializes to the *same bytes* as one built by the
-    // sequential oracle — v1 (which persists the peel order) and v2.
-    let dir = std::env::temp_dir().join(format!("bestk-peel-eq-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("mkdir");
+    // sequential oracle, and holds the same peel order, Alg. 1 tags, and
+    // forest, which the snapshot does not persist.
     for (name, g) in [
         ("random", generators::erdos_renyi_gnm(300, 1200, 41)),
         ("ladder", generators::shell_ladder(7, 9)),
     ] {
         let mut reference = Dataset::from_graph(g.clone());
         reference.ensure_built(&ExecPolicy::Sequential);
-        let mut v1_want = Vec::new();
-        snapshot::save(&reference, &mut v1_want).expect("save v1");
-        let v2_path = dir.join(format!("{name}-seq.bestk"));
-        snapv2::save_path(&reference, &v2_path).expect("save v2");
-        let v2_want = std::fs::read(&v2_path).expect("read v2");
         for threads in [2, 4, 7] {
             let policy = ExecPolicy::with_threads(threads).unwrap();
             let mut ds = Dataset::from_graph(g.clone());
             ds.ensure_built(&policy);
-            let mut v1 = Vec::new();
-            snapshot::save(&ds, &mut v1).expect("save v1");
-            assert_eq!(v1, v1_want, "{name}: v1 bytes at {threads} threads");
-            let path = dir.join(format!("{name}-{threads}.bestk"));
-            snapv2::save_path(&ds, &path).expect("save v2");
-            assert_eq!(
-                std::fs::read(&path).expect("read v2"),
-                v2_want,
-                "{name}: v2 bytes at {threads} threads"
-            );
+            common::assert_same_index(&ds, &reference, &format!("{name} at {threads} threads"));
         }
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// What the reference peel exposes beyond the production API.
@@ -296,6 +293,7 @@ fn assert_frontier_invariants(g: &CsrGraph, d: &CoreDecomposition, context: &str
 
 #[test]
 fn frontier_and_bucket_invariants_hold_for_both_strategies() {
+    let _g = gate();
     check("peel frontier invariants", 16, |gen: &mut Gen| {
         let g = gen.graph(40, 140);
         assert_frontier_invariants(&g, &core_decomposition(&g), "oracle");
@@ -307,37 +305,43 @@ fn frontier_and_bucket_invariants_hold_for_both_strategies() {
 #[test]
 fn observed_rounds_and_frontier_sizes_are_strategy_invariant() {
     use std::sync::Arc;
+    let _g = gate();
     // Both strategies must report the identical canonical round structure
     // to bestk-obs — that is what keeps the metrics golden stable across
     // thread counts — and the histogram must account for every vertex
     // exactly once (frontier disjointness, observed externally).
-    let g = generators::shell_ladder(6, 8);
-    let reference = reference_peel(&g);
     let clock = || Arc::new(bestk::obs::ManualClock::with_step(1)) as Arc<dyn bestk::obs::Clock>;
-    let ((), seq) = bestk::obs::with_fresh(clock(), || {
-        core_decomposition(&g);
-    });
-    let rounds = seq.counter("phase.peel.rounds").expect("rounds recorded");
-    let hist = seq.histogram("core.frontier_size").expect("sizes recorded");
-    assert_eq!(rounds as usize, reference.rounds);
-    assert_eq!(hist.count as usize, reference.rounds);
-    assert_eq!(hist.sum as usize, g.num_vertices(), "frontiers cover n");
-    for threads in THREADS {
-        let policy = ExecPolicy::with_threads(threads).unwrap();
-        let ((), par) = bestk::obs::with_fresh(clock(), || {
-            par_peel(&g, &policy, FORCE_PARALLEL);
+    for g in [
+        generators::shell_ladder(6, 8),
+        generators::erdos_renyi_gnm(100, 300, 5),
+    ] {
+        let reference = reference_peel(&g);
+        let ((), seq) = bestk::obs::with_fresh(clock(), || {
+            core_decomposition(&g);
         });
-        assert_eq!(par.counter("phase.peel.rounds"), Some(rounds), "{threads}");
-        assert_eq!(
-            par.histogram("core.frontier_size"),
-            Some(hist),
-            "{threads} threads"
-        );
+        let rounds = seq.counter("phase.peel.rounds").expect("rounds recorded");
+        let hist = seq.histogram("core.frontier_size").expect("sizes recorded");
+        assert_eq!(rounds as usize, reference.rounds);
+        assert_eq!(hist.count as usize, reference.rounds);
+        assert_eq!(hist.sum as usize, g.num_vertices(), "frontiers cover n");
+        for threads in THREADS {
+            let policy = ExecPolicy::with_threads(threads).unwrap();
+            let ((), par) = bestk::obs::with_fresh(clock(), || {
+                par_peel(&g, &policy, FORCE_PARALLEL);
+            });
+            assert_eq!(par.counter("phase.peel.rounds"), Some(rounds), "{threads}");
+            assert_eq!(
+                par.histogram("core.frontier_size"),
+                Some(hist),
+                "{threads} threads"
+            );
+        }
     }
 }
 
 #[test]
 fn strategy_selection_follows_the_policy() {
+    let _g = gate();
     assert_eq!(
         PeelStrategy::for_policy(&ExecPolicy::Sequential),
         PeelStrategy::Sequential
