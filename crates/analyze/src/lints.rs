@@ -16,7 +16,7 @@
 //! | `no-raw-graph` | no `.offsets()`/`.raw_neighbors()`/`CsrGraph::from_parts` outside `crates/graph` (graphs are observed through `GraphView`) |
 //! | `no-raw-mutation` | no `DeltaOverlay`/`DeltaLog` outside `crates/delta` and `crates/engine` (mutations go through the engine's stage/commit protocol) |
 //! | `no-raw-corpus-io` | no `Recording`/`decode_recording` outside `crates/engine` and `crates/fuzz` (corpus and `.bestkrec` files decode behind the policed seams) |
-//! | `no-raw-peel` | no degree-bucket pops or degree-slot decrements outside `crates/core` (peeling goes through `bestk_core`'s `PeelStrategy`) |
+//! | `no-raw-peel` | no degree-bucket pops or degree-slot decrements outside `crates/core` (peeling goes through `bestk_core`'s `core_decomposition_with`) |
 //! | `module-doc` | every source file opens with a `//!` module doc |
 //!
 //! The deeper analysis families — lock discipline, determinism, hot-path
@@ -86,7 +86,7 @@ pub const LINTS: &[(&str, &str)] = &[
     ),
     (
         "no-raw-peel",
-        "no degree-bucket pops or degree-slot writes outside crates/core; peel through bestk_core's PeelStrategy",
+        "no degree-bucket pops or degree-slot writes outside crates/core; peel through bestk_core's core_decomposition_with",
     ),
     (
         "module-doc",
@@ -244,11 +244,11 @@ pub fn check_model(path: &str, role: FileRole, m: &FileModel<'_>) -> Vec<Diagnos
     // recordings through `bestk_engine::replay_recording_path`, so decode
     // hardening (checksums, framing, typed errors) cannot be bypassed.
     let corpus_exempt = path.starts_with("crates/engine/") || path.starts_with("crates/fuzz/");
-    // `crates/core` owns the peel: its two strategies (sequential oracle,
-    // parallel bucket-frontier primary) are the one place allowed to pop
-    // degree buckets and write degree slots, because that is the machinery
-    // the differential test layer proves bit-identical. A peel hand-rolled
-    // anywhere else silently escapes that proof.
+    // `crates/core` owns the peel: its bucket-frontier peel is the one
+    // place allowed to pop degree buckets and write degree slots, because
+    // that is the machinery the differential test layer proves
+    // bit-identical. A peel hand-rolled anywhere else silently escapes
+    // that proof.
     let peel_exempt = path.starts_with("crates/core/");
 
     let mut push = |lint: &'static str, line: u32, msg: String| {
@@ -439,7 +439,7 @@ pub fn check_model(path: &str, role: FileRole, m: &FileModel<'_>) -> Vec<Diagnos
                     });
                     if near_bucket && !allowed("no-raw-peel") {
                         push("no-raw-peel", line, format!(
-                            "`.{name}()` on a degree bucket outside crates/core (peel through bestk_core's PeelStrategy)"
+                            "`.{name}()` on a degree bucket outside crates/core (peel through bestk_core's core_decomposition_with)"
                         ));
                     }
                 }
@@ -460,7 +460,7 @@ pub fn check_model(path: &str, role: FileRole, m: &FileModel<'_>) -> Vec<Diagnos
                         || (m.is_punct(j + 1, b'-') && m.is_punct(j + 2, b'=')));
                 if is_store && !allowed("no-raw-peel") {
                     push("no-raw-peel", line, format!(
-                        "write into degree slot `{}[…]` outside crates/core (peel through bestk_core's PeelStrategy)",
+                        "write into degree slot `{}[…]` outside crates/core (peel through bestk_core's core_decomposition_with)",
                         m.ident(i).unwrap_or("deg")
                     ));
                 }

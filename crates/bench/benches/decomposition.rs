@@ -1,10 +1,10 @@
-//! Micro-bench: core decomposition (the shared `O(m)` preprocessing of
-//! every algorithm in the paper; the "core decomposition" slice of the
-//! Figure 7/8 stacked bars).
+//! Micro-bench: core decomposition (the shared `O(n log n + m)`
+//! preprocessing of every algorithm in the paper; the "core decomposition"
+//! slice of the Figure 7/8 stacked bars).
 
 use bestk_bench::Bench;
 use bestk_core::core_decomposition;
-use bestk_core::hindex::{hindex_core_decomposition, hindex_core_decomposition_async};
+use bestk_core::hindex::hindex_core_decomposition;
 use bestk_graph::generators;
 
 fn bench_decomposition(b: &Bench) {
@@ -37,9 +37,6 @@ fn bench_decomposition_strategies(b: &Bench) {
     });
     b.run_elements("decomposition_strategy/hindex_sync", m, || {
         hindex_core_decomposition(&g)
-    });
-    b.run_elements("decomposition_strategy/hindex_async", m, || {
-        hindex_core_decomposition_async(&g)
     });
 }
 

@@ -9,8 +9,11 @@
 //!
 //! Besides the human-readable table on stdout, every run is recorded; if
 //! `BESTK_BENCH_JSON` names a file, [`Bench::finish`] writes the records as
-//! machine-readable JSON (`{"benchmarks": [{name, threads, iters, min_ns,
-//! mean_ns}, ...]}`), the format downstream tooling diffs across commits.
+//! machine-readable JSON (`{"available_parallelism": N, "benchmarks":
+//! [{name, threads, iters, min_ns, mean_ns}, ...]}`), the format downstream
+//! tooling diffs across commits. `available_parallelism` is the host's
+//! hardware thread count (0 if the query fails), so every report states
+//! the machine its thread counts ran on.
 
 use std::cell::RefCell;
 use std::time::Duration;
@@ -199,9 +202,13 @@ impl Bench {
         self.records.borrow().clone()
     }
 
-    /// Serializes the recorded results as JSON.
+    /// Serializes the recorded results as JSON, headed by the host's
+    /// `available_parallelism`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"benchmarks\": [");
+        let mut out = format!(
+            "{{\n  \"available_parallelism\": {},\n  \"benchmarks\": [",
+            available_parallelism()
+        );
         let records = self.records.borrow();
         for (i, r) in records.iter().enumerate() {
             if i > 0 {
@@ -250,6 +257,11 @@ impl Bench {
             std::process::exit(2);
         });
     }
+}
+
+/// The host's hardware thread count, 0 when the query fails.
+fn available_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(0, |n| n.get())
 }
 
 /// Escapes `s` as a JSON string literal (quotes, backslashes, control
@@ -322,6 +334,8 @@ mod tests {
         let b = Bench::with_settings(None, 1);
         b.run_threads("kernel/x", 2, || 1);
         let json = b.to_json();
+        let host = format!("\"available_parallelism\": {},", available_parallelism());
+        assert!(json.starts_with(&format!("{{\n  {host}\n")), "{json}");
         assert!(json.contains("\"benchmarks\": ["), "{json}");
         assert!(json.contains("\"name\": \"kernel/x\""), "{json}");
         assert!(json.contains("\"threads\": 2"), "{json}");
@@ -329,7 +343,10 @@ mod tests {
         assert!(json.contains("\"mean_ns\": "), "{json}");
         // Empty sessions still produce a well-formed document.
         let empty = Bench::with_settings(None, 1);
-        assert_eq!(empty.to_json(), "{\n  \"benchmarks\": [  ]\n}\n");
+        assert_eq!(
+            empty.to_json(),
+            format!("{{\n  {host}\n  \"benchmarks\": [  ]\n}}\n")
+        );
     }
 
     #[test]

@@ -32,19 +32,17 @@ pub fn analyze<G: GraphView + Sync>(g: &G) -> BestKAnalysis {
     analyze_inner(g, true)
 }
 
-/// Runs the pipeline without triangle counting (`O(m)`); clustering
-/// coefficient (and any [`CommunityMetric`] with
+/// Runs the pipeline without triangle counting (`O(n log n + m)`, the
+/// peel's bound); clustering coefficient (and any [`CommunityMetric`] with
 /// [`needs_triangles`](CommunityMetric::needs_triangles)) is unavailable.
 pub fn analyze_basic<G: GraphView + Sync>(g: &G) -> BestKAnalysis {
     analyze_inner(g, false)
 }
 
-/// [`analyze`] under an execution policy: the peel dispatches to the
-/// [`PeelStrategy`](crate::PeelStrategy) the policy selects (the parallel
-/// bucket-frontier primary under `Parallel`, the sequential oracle
-/// otherwise) and the ordered-adjacency tag scan runs on the shared
-/// runtime. The analysis is identical to the sequential one at every
-/// thread count.
+/// [`analyze`] under an execution policy: the peel fans its large
+/// sub-rounds' decrement generation out over the policy's workers and the
+/// ordered-adjacency tag scan runs on the shared runtime. The analysis is
+/// identical to the sequential one at every thread count.
 pub fn analyze_with<G: GraphView + Sync>(g: &G, policy: &ExecPolicy) -> BestKAnalysis {
     analyze_inner_with(g, true, policy)
 }

@@ -1,9 +1,9 @@
 //! Core decomposition (paper §II-A) under a canonical frontier peel.
 //!
 //! Peeling repeatedly removes every vertex of minimum current degree; the
-//! level `k` being peeled when a vertex is removed is its *coreness*. Both
-//! strategies here implement one **canonical peel order** so their output —
-//! coreness, rank order, shell boundaries, *and the peel order itself* — is
+//! level `k` being peeled when a vertex is removed is its *coreness*. The
+//! peel follows one **canonical peel order**, so its output — coreness,
+//! rank order, shell boundaries, *and the peel order itself* — is
 //! bit-identical at every thread count:
 //!
 //! * a level `k` opens with every live vertex of current degree `k`,
@@ -14,16 +14,17 @@
 //!   *cascade frontier*, ordered by first crossing;
 //! * when the cascade dries up, the next level opens at the new minimum.
 //!
-//! [`PeelStrategy::Sequential`] (the oracle behind [`core_decomposition`])
-//! is the auditably simple transcription of that specification: it rescans
-//! all vertices at each level opening, `O(n·kmax + m)` total.
-//! [`PeelStrategy::Parallel`] ([`par_peel`]) is the primary path: a lazy
-//! bucket queue finds level openings in `O(n + m)` total, and each
-//! sub-round's degree decrements are *generated* in parallel on
+//! There is one peel, the bucket-frontier peel of [`par_peel`], and both
+//! [`core_decomposition`] and [`core_decomposition_with`] run it. A lazy
+//! bucket queue finds level openings in `O(n + m)` total, and sorting the
+//! opening frontiers by id costs `O(n log n)` in the worst case (each
+//! vertex is sorted once): `O(n log n + m)` time, `O(n + m)` space. At one
+//! thread every decrement is applied inline. Under a parallel policy each
+//! large sub-round's decrements are *generated* on
 //! [`bestk_exec::ExecPolicy::for_each_disjoint`] — one count-prefixed
 //! event region per chunk — then *applied* in chunk order. Because the
 //! frontier is contiguously chunked, the chunk-order merge replays the
-//! exact sequential decrement order, which is what keeps the cascade
+//! inline decrement order exactly, which is what keeps the cascade
 //! frontiers (and therefore the peel order the Alg. 2 sweep and the
 //! snapshot serializer consume) identical. See `tests/peel_equivalence.rs`
 //! for the differential layer and DESIGN.md §17 for the contract.
@@ -116,7 +117,7 @@ impl CoreDecomposition {
     /// algorithms such as maximum clique (paper §V-D).
     ///
     /// The order is *canonical* — defined by the graph alone, not by the
-    /// peel implementation — so both [`PeelStrategy`]s reproduce it
+    /// thread count or the dispatch schedule — so every run reproduces it
     /// bit-identically.
     #[inline]
     pub fn peel_ordering(&self) -> &[VertexId] {
@@ -133,43 +134,6 @@ impl CoreDecomposition {
     }
 }
 
-/// Which peel implementation a decomposition runs on.
-///
-/// Both strategies produce bit-identical [`CoreDecomposition`]s (the
-/// differential contract in `tests/peel_equivalence.rs`); they differ only
-/// in cost. `Sequential` is the auditable oracle, `Parallel` the primary
-/// production path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PeelStrategy {
-    /// The straight-line transcription of the canonical peel: per-level
-    /// `O(n)` frontier rescans, direct in-place decrements. `O(n·kmax + m)`.
-    Sequential,
-    /// The bucket-frontier primary: lazy bucket queue for level openings
-    /// (`O(n + m)` total) and parallel decrement-event generation with a
-    /// deterministic chunk-order merge.
-    Parallel,
-}
-
-impl PeelStrategy {
-    /// The strategy an [`ExecPolicy`] selects: the parallel primary
-    /// whenever the policy spawns workers, the sequential oracle otherwise.
-    pub fn for_policy(policy: &ExecPolicy) -> PeelStrategy {
-        if policy.is_parallel() {
-            PeelStrategy::Parallel
-        } else {
-            PeelStrategy::Sequential
-        }
-    }
-
-    /// Runs this strategy's decomposition over `g`.
-    pub fn decompose<G: GraphView + Sync>(&self, g: &G, policy: &ExecPolicy) -> CoreDecomposition {
-        match self {
-            PeelStrategy::Sequential => core_decomposition(g),
-            PeelStrategy::Parallel => par_peel(g, policy, PAR_PEEL_MIN_WORK),
-        }
-    }
-}
-
 /// Minimum sub-round work (sum of frontier degrees) before [`par_peel`]
 /// dispatches event generation to worker threads; below it the events are
 /// generated inline. Output is identical either way — the threshold only
@@ -180,10 +144,10 @@ const PAR_PEEL_MIN_WORK: usize = 32_768;
 /// Histogram bounds for `core.frontier_size` (sub-round frontier sizes).
 const FRONTIER_BOUNDS: &[u64] = &[1, 4, 16, 64, 256, 1024, 4096, 16384, 65536];
 
-/// Per-sub-round observability: both strategies record the same canonical
-/// round structure, so `phase.peel.rounds` and `core.frontier_size` are
-/// strategy- and thread-count-invariant (golden-covered in
-/// `tests/obs_golden.rs`).
+/// Per-sub-round observability: every run records the same canonical
+/// round structure, whether a sub-round's decrements were applied inline
+/// or fanned out, so `phase.peel.rounds` and `core.frontier_size` are
+/// thread-count-invariant (golden-covered in `tests/obs_golden.rs`).
 struct PeelObs {
     rounds: bestk_obs::Counter,
     frontier_size: bestk_obs::Histogram,
@@ -205,7 +169,7 @@ impl PeelObs {
     }
 }
 
-/// The `n == 0` decomposition both strategies short-circuit to.
+/// The `n == 0` decomposition the peel short-circuits to.
 fn empty_decomposition() -> CoreDecomposition {
     CoreDecomposition {
         coreness: Vec::new(),
@@ -246,10 +210,9 @@ fn assemble(coreness: Vec<u32>, kmax: u32, peel_order: Vec<VertexId>) -> CoreDec
 
 /// Applies one degree decrement to `u` at level `k`: crossing the level
 /// queues `u` for the next cascade frontier exactly once; staying above it
-/// re-files `u` in the lazy bucket queue (when one is maintained). This is
-/// the *shared application step* both the sequential scan and the parallel
-/// chunk-order merge replay — identical event order in, identical state
-/// trajectory out.
+/// re-files `u` in the lazy bucket queue. This is the *shared application
+/// step* both the inline scan and the parallel chunk-order merge replay —
+/// identical event order in, identical state trajectory out.
 #[inline]
 fn apply_decrement(
     u: VertexId,
@@ -257,7 +220,7 @@ fn apply_decrement(
     cur: &mut [usize],
     queued: &mut [bool],
     next: &mut Vec<VertexId>,
-    mut buckets: Option<&mut Vec<Vec<VertexId>>>,
+    buckets: &mut [Vec<VertexId>],
 ) {
     let uu = u as usize;
     cur[uu] -= 1;
@@ -267,114 +230,49 @@ fn apply_decrement(
     if cur[uu] <= k {
         queued[uu] = true;
         next.push(u);
-    } else if let Some(buckets) = buckets.as_mut() {
+    } else {
         buckets[cur[uu]].push(u);
     }
 }
 
-/// The sequential oracle: runs the canonical frontier peel exactly as
-/// specified in the module docs, favoring auditability over constants —
-/// every level opening is a fresh `O(n)` scan for the minimum live degree,
-/// and decrements are applied directly in frontier-scan order.
-/// `O(n·kmax + m)` time, `O(n)` extra space.
-///
-/// This is the reference [`par_peel`] is differentially tested against;
-/// see [`core_decomposition_with`] for the policy-dispatched entry point.
-pub fn core_decomposition<G: GraphView>(g: &G) -> CoreDecomposition {
-    let _span = bestk_obs::span!("phase.peel");
-    let n = g.num_vertices();
-    if n == 0 {
-        return empty_decomposition();
-    }
-    let obs = PeelObs::new();
-    let mut cur: Vec<usize> = (0..n).map(|v| g.degree(cast::vertex_id(v))).collect();
-    // `queued`: scheduled for peeling (frontier membership is permanent);
-    // `peeled`: actually removed from the graph — the two differ only for
-    // vertices sitting in the not-yet-processed cascade frontier.
-    let mut queued = vec![false; n];
-    let mut peeled = vec![false; n];
-    let mut coreness = vec![0u32; n];
-    let mut peel_order: Vec<VertexId> = Vec::with_capacity(n);
-    let mut kmax = 0u32;
-    let mut remaining = n;
-    let mut frontier: Vec<VertexId> = Vec::new();
-    let mut next: Vec<VertexId> = Vec::new();
-    while remaining > 0 {
-        // Open the next level: the minimum current degree over live
-        // vertices, frontier collected ascending by id in the same scan.
-        let mut k = usize::MAX;
-        frontier.clear();
-        for v in 0..n {
-            if queued[v] {
-                continue;
-            }
-            if cur[v] < k {
-                k = cur[v];
-                frontier.clear();
-            }
-            if cur[v] == k {
-                frontier.push(cast::vertex_id(v));
-            }
-        }
-        for &v in &frontier {
-            queued[v as usize] = true;
-        }
-        let level = cast::u32_of(k);
-        kmax = level; // levels open in strictly increasing order
-        while !frontier.is_empty() {
-            obs.round(frontier.len());
-            remaining -= frontier.len();
-            // Simultaneous removal: the whole frontier leaves the graph
-            // before any decrement is generated, so edges internal to the
-            // frontier never decrement anybody.
-            for &v in &frontier {
-                peeled[v as usize] = true;
-                coreness[v as usize] = level;
-                peel_order.push(v);
-            }
-            next.clear();
-            for &v in &frontier {
-                for u in g.neighbors(v) {
-                    if !peeled[u as usize] {
-                        apply_decrement(u, k, &mut cur, &mut queued, &mut next, None);
-                    }
-                }
-            }
-            std::mem::swap(&mut frontier, &mut next);
-        }
-    }
-    assemble(coreness, kmax, peel_order)
+/// Core decomposition of `g` at one thread: the bucket-frontier peel
+/// ([`par_peel`]) with every decrement applied inline and no fan-out.
+/// `O(n log n + m)` time, `O(n + m)` extra space.
+pub fn core_decomposition<G: GraphView + Sync>(g: &G) -> CoreDecomposition {
+    core_decomposition_with(g, &ExecPolicy::Sequential)
 }
 
-/// [`core_decomposition`] under an execution policy: dispatches to the
-/// [`PeelStrategy`] the policy selects. The primary entry point for every
-/// engine build/rebuild/compaction and CLI path; output is bit-identical
-/// to the sequential oracle at every thread count.
+/// [`core_decomposition`] under an execution policy: the entry point for
+/// every engine build/rebuild/compaction and CLI path. Output is
+/// bit-identical at every thread count.
 pub fn core_decomposition_with<G: GraphView + Sync>(
     g: &G,
     policy: &ExecPolicy,
 ) -> CoreDecomposition {
-    PeelStrategy::for_policy(policy).decompose(g, policy)
+    par_peel(g, policy, PAR_PEEL_MIN_WORK)
 }
 
-/// The parallel primary: bucket-frontier peeling.
+/// The bucket-frontier peel behind [`core_decomposition_with`], with the
+/// fan-out threshold exposed.
 ///
 /// Level openings come from a *lazy bucket queue* — every vertex always has
 /// an entry filed under its current degree (stale higher entries are
 /// skipped on drain), so advancing the level pointer is `O(n + m)` over the
-/// whole run instead of the oracle's per-level rescan. Opening frontiers
-/// are sorted ascending by id to match the canonical order; cascade
-/// frontiers need no sort because the decrement *events* are already
-/// replayed in the oracle's scan order.
+/// whole run. Opening frontiers are sorted ascending by id to match the
+/// canonical order, `O(n log n)` in the worst case since each vertex is
+/// sorted once; cascade frontiers need no sort because the decrement
+/// *events* are replayed in frontier-scan order.
 ///
-/// Each sub-round with at least `min_work` total frontier degree generates
-/// its decrement events on [`ExecPolicy::for_each_disjoint`]: the frontier
-/// is chunked by cumulative degree, each chunk writes the live-neighbor
-/// events of its contiguous frontier slice into a private count-prefixed
-/// region, and the regions are then applied in chunk order. Concatenating
-/// contiguous chunks in chunk order *is* the frontier-scan order, so the
-/// merged event stream — and with it every `cur`/bucket/frontier
-/// trajectory — is identical to the sequential oracle's.
+/// Under a parallel policy, each sub-round with at least `min_work` total
+/// frontier degree generates its decrement events on
+/// [`ExecPolicy::for_each_disjoint`]: the frontier is chunked by cumulative
+/// degree, each chunk writes the live-neighbor events of its contiguous
+/// frontier slice into a private count-prefixed region, and the regions are
+/// then applied in chunk order. Concatenating contiguous chunks in chunk
+/// order *is* the frontier-scan order, so the merged event stream — and
+/// with it every `cur`/bucket/frontier trajectory — is identical to the
+/// inline scan's. Smaller sub-rounds, and every sub-round at one thread,
+/// apply their decrements inline.
 ///
 /// `min_work` gates the per-dispatch thread-spawn cost; pass 0 to force
 /// every sub-round through the parallel machinery (what the differential
@@ -395,6 +293,9 @@ pub fn par_peel<G: GraphView + Sync>(
     for v in 0..n {
         buckets[cur[v]].push(cast::vertex_id(v));
     }
+    // `queued`: scheduled for peeling (frontier membership is permanent);
+    // `peeled`: actually removed from the graph — the two differ only for
+    // vertices sitting in the not-yet-processed cascade frontier.
     let mut queued = vec![false; n];
     let mut peeled = vec![false; n];
     let mut coreness = vec![0u32; n];
@@ -411,7 +312,7 @@ pub fn par_peel<G: GraphView + Sync>(
         // Advance the level pointer over the lazy bucket queue. An entry
         // is live iff its vertex still has exactly this degree and was
         // never scheduled; every live vertex has a live entry, so the
-        // first non-empty drain is exactly the oracle's opening frontier.
+        // first non-empty drain is exactly the canonical opening frontier.
         frontier.clear();
         while frontier.is_empty() {
             let bucket = std::mem::take(&mut buckets[k]);
@@ -430,10 +331,13 @@ pub fn par_peel<G: GraphView + Sync>(
             queued[v as usize] = true;
         }
         let level = cast::u32_of(k);
-        kmax = level;
+        kmax = level; // levels open in strictly increasing order
         while !frontier.is_empty() {
             obs.round(frontier.len());
             remaining -= frontier.len();
+            // Simultaneous removal: the whole frontier leaves the graph
+            // before any decrement is generated, so edges internal to the
+            // frontier never decrement anybody.
             for &v in &frontier {
                 peeled[v as usize] = true;
                 coreness[v as usize] = level;
@@ -477,26 +381,19 @@ pub fn par_peel<G: GraphView + Sync>(
                     },
                 );
                 // Deterministic ordered merge: applying the regions in
-                // chunk order replays the sequential decrement order.
+                // chunk order replays the inline decrement order.
                 for c in 0..chunks {
                     let region = &events[cuts[c]..cuts[c + 1]];
                     let count = region[0] as usize;
                     for &u in &region[1..=count] {
-                        apply_decrement(u, k, &mut cur, &mut queued, &mut next, Some(&mut buckets));
+                        apply_decrement(u, k, &mut cur, &mut queued, &mut next, &mut buckets);
                     }
                 }
             } else {
                 for &v in &frontier {
                     for u in g.neighbors(v) {
                         if !peeled[u as usize] {
-                            apply_decrement(
-                                u,
-                                k,
-                                &mut cur,
-                                &mut queued,
-                                &mut next,
-                                Some(&mut buckets),
-                            );
+                            apply_decrement(u, k, &mut cur, &mut queued, &mut next, &mut buckets);
                         }
                     }
                 }
@@ -628,33 +525,19 @@ mod tests {
     }
 
     #[test]
-    fn par_peel_is_bit_identical_to_the_oracle() {
-        // The unit-level differential smoke; the full sweep (adversarial
-        // shapes, snapshot bytes, tags) lives in tests/peel_equivalence.rs.
+    fn forced_dispatch_is_bit_identical_to_one_thread() {
+        // The unit-level thread-invariance smoke; the full sweep
+        // (adversarial shapes, snapshot bytes, tags) lives in
+        // tests/peel_equivalence.rs.
         for seed in 0..4 {
             let g = generators::erdos_renyi_gnm(120, 400, seed);
             let want = core_decomposition(&g);
-            for threads in [1, 2, 4, 7] {
+            for threads in [2, 4, 7] {
                 let policy = ExecPolicy::with_threads(threads).unwrap();
                 let got = par_peel(&g, &policy, 0);
                 assert_eq!(got, want, "seed {seed}, {threads} threads");
             }
         }
-    }
-
-    #[test]
-    fn strategy_dispatch_follows_the_policy() {
-        assert_eq!(
-            PeelStrategy::for_policy(&ExecPolicy::Sequential),
-            PeelStrategy::Sequential
-        );
-        let par = ExecPolicy::with_threads(3).unwrap();
-        assert_eq!(PeelStrategy::for_policy(&par), PeelStrategy::Parallel);
-        // And the policy entry point agrees with the oracle either way.
-        let g = generators::erdos_renyi_gnm(80, 240, 9);
-        let want = core_decomposition(&g);
-        assert_eq!(core_decomposition_with(&g, &ExecPolicy::Sequential), want);
-        assert_eq!(core_decomposition_with(&g, &par), want);
     }
 
     /// Definitional check: c(v) ≥ k iff v survives peeling to min degree k.

@@ -13,13 +13,15 @@
 //!
 //! in worst-case optimal time and space: `O(m)` for metrics over vertex /
 //! edge / boundary counts, `O(m^1.5)` for triangle-based metrics, both with
-//! `O(m)` space.
+//! `O(m)` space. The peel adds an `O(n log n)` worst-case term: it sorts
+//! each level's opening frontier by id so the peel order is canonical
+//! (see [`decomposition`]).
 //!
 //! ## Pipeline
 //!
 //! | stage | paper | module |
 //! |-------|-------|--------|
-//! | core decomposition (`O(m)`) | §II-A | [`decomposition`] |
+//! | core decomposition (`O(n log n + m)`) | §II-A | [`decomposition`] |
 //! | vertex ordering + position tags | Alg. 1, §III-B | [`ordering`] |
 //! | best k-core set sweep | Alg. 2–3, §III-C/D | [`bestkset`] |
 //! | LCPS core forest | Alg. 4, §IV-A | [`forest`] |
@@ -67,9 +69,7 @@ pub mod weighted;
 pub use analysis::{analyze, analyze_basic, analyze_basic_with, analyze_with, BestKAnalysis};
 pub use bestcore::{best_single_core, single_core_profile, BestCore, SingleCoreProfile};
 pub use bestkset::{best_k_core_set, core_set_profile, BestKSet, CoreSetProfile};
-pub use decomposition::{
-    core_decomposition, core_decomposition_with, par_peel, CoreDecomposition, PeelStrategy,
-};
+pub use decomposition::{core_decomposition, core_decomposition_with, par_peel, CoreDecomposition};
 pub use forest::{CoreForest, CoreForestNode};
 pub use metrics::{best_k, CommunityMetric, GraphContext, Metric, MetricError, PrimaryValues};
 pub use ordering::OrderedGraph;

@@ -74,15 +74,15 @@ impl DeltaIndex {
     /// Builds the index from scratch through the paper's pipeline (this is
     /// also the equivalence oracle: applying ops must reproduce `build` of
     /// the mutated graph exactly).
-    pub fn build<G: GraphView>(g: &G) -> DeltaIndex {
+    pub fn build<G: GraphView + Sync>(g: &G) -> DeltaIndex {
         let decomp = core_decomposition(g);
         Self::assemble_from(g, decomp)
     }
 
-    /// [`build`](Self::build) under an execution policy: the peel runs on
-    /// the [`PeelStrategy`](bestk_core::PeelStrategy) the policy selects
-    /// (bit-identical output either way), which is what the engine's
-    /// commit-after-eviction rebuild routes through.
+    /// [`build`](Self::build) under an execution policy: the peel fans out
+    /// over the policy's workers (bit-identical output at every thread
+    /// count), which is what the engine's commit-after-eviction rebuild
+    /// routes through.
     pub fn build_with<G: GraphView + Sync>(g: &G, policy: &ExecPolicy) -> DeltaIndex {
         let decomp = core_decomposition_with(g, policy);
         Self::assemble_from(g, decomp)

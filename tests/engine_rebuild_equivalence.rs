@@ -1,16 +1,14 @@
-//! Engine-level determinism contract for the parallel peel: every path
-//! that *rebuilds* artifacts inside the serving stack — a clean rebuild
-//! from a source edge list, quarantine recovery from a corrupt snapshot,
-//! and the write-ahead-log compaction that rewrites the snapshot in place
-//! — must produce **byte-identical** snapshots, and identical peel order,
-//! Alg. 1 ordering, core forest, and profiles, whether the build ran under
-//! the sequential oracle or the parallel bucket-frontier primary at any
-//! thread count.
+//! Engine-level determinism contract for the peel: every path that
+//! *rebuilds* artifacts inside the serving stack — a clean rebuild from a
+//! source edge list, quarantine recovery from a corrupt snapshot, and the
+//! write-ahead-log compaction that rewrites the snapshot in place — must
+//! produce **byte-identical** snapshots, and identical peel order, Alg. 1
+//! ordering, core forest, and profiles, whether the build ran under
+//! `ExecPolicy::Sequential` or a parallel policy at any thread count.
 //!
-//! This is what makes `PeelStrategy::Parallel` safe as the default for
-//! `ExecPolicy::Parallel` in the CLI and server: operators can mix
-//! `--threads` values across restarts, replicas, and recovery events and
-//! still get bit-reproducible `.bestk` files.
+//! This is what lets the CLI and server default to a parallel policy:
+//! operators can mix `--threads` values across restarts, replicas, and
+//! recovery events and still get bit-reproducible `.bestk` files.
 
 mod common;
 
@@ -34,7 +32,7 @@ fn scratch_dir(tag: &str) -> PathBuf {
 }
 
 /// The deterministic base graph: deep shells over a dense core, the shape
-/// where the two strategies' internal schedules diverge the most.
+/// where the sequential and parallel schedules diverge the most.
 fn base_graph() -> CsrGraph {
     generators::shell_ladder(7, 9)
 }
@@ -152,7 +150,7 @@ fn wal_compaction_is_byte_identical_across_strategies() {
     // the log and rewrites the snapshot file in place. That on-disk
     // compacted snapshot — produced entirely inside the engine, under
     // whatever policy the operator ran with — must be byte-identical
-    // across strategies, and so must the dataset the engine keeps serving.
+    // across policies, and so must the dataset the engine keeps serving.
     let dir = scratch_dir("compact");
     let g = generators::erdos_renyi_gnm(120, 420, 9);
     let ops = edge_stream_mixed(&g, bestk_engine::COMPACT_OPS as usize, 41);

@@ -1,21 +1,23 @@
-//! The differential test layer for the two peel strategies.
+//! The differential test layer for the peel.
 //!
-//! `PeelStrategy::Parallel` ([`par_peel`]) is the primary decomposition
-//! path; `PeelStrategy::Sequential` ([`core_decomposition`]) is the
-//! oracle. This suite proves they are **bit-identical** — coreness, rank
-//! order, shell boundaries, the peel order itself, the Alg. 1 position
-//! tags, the Alg. 2 per-k primaries, and the serialized `.bestk` snapshot
-//! bytes — at threads {1, 2, 4, 7}, over random graphs and the adversarial
-//! shapes (`k_chain`, `shell_ladder`, `tie_storm`, max-degeneracy
-//! cliques).
+//! One bucket-frontier peel ([`par_peel`]) backs [`core_decomposition`]
+//! and [`core_decomposition_with`]. This suite proves its output is
+//! **bit-identical** at every thread count — coreness, rank order, shell
+//! boundaries, the peel order itself, the Alg. 1 position tags, the Alg. 2
+//! per-k primaries, and the serialized `.bestk` snapshot bytes — by
+//! forcing every sub-round through the parallel dispatch at threads
+//! {1, 2, 4, 7} and comparing against the one-thread run, over random
+//! graphs and the adversarial shapes (`k_chain`, `shell_ladder`,
+//! `tie_storm`, max-degeneracy cliques).
 //!
-//! A third, independent reference implementation of the canonical peel
-//! lives in this file and exposes what the production API hides (sub-round
-//! ids and the decrement count), pinning the frontier/bucket invariants:
-//! monotone non-decreasing peel level, disjoint frontiers covering every
-//! vertex exactly once, and conservation of decrements (every edge
-//! decrements exactly once unless both endpoints leave in the same
-//! simultaneous sub-round).
+//! The test oracle is an independent, deliberately naive reference
+//! implementation of the canonical peel in this file. It fixes the
+//! coreness and the peel order, and it exposes what the production API
+//! hides (sub-round ids and the decrement count), pinning the
+//! frontier/bucket invariants: monotone non-decreasing peel level,
+//! disjoint frontiers covering every vertex exactly once, and conservation
+//! of decrements (every edge decrements exactly once unless both endpoints
+//! leave in the same simultaneous sub-round).
 //!
 //! Random cases run on the seeded in-repo property harness
 //! (`BESTK_PROP_SEED` / `BESTK_PROP_CASES`), like the other equivalence
@@ -25,7 +27,7 @@ mod common;
 
 use bestk::core::{
     core_decomposition, core_decomposition_with, core_set_profile, par_peel, CoreDecomposition,
-    OrderedGraph, PeelStrategy,
+    OrderedGraph,
 };
 use bestk::exec::ExecPolicy;
 use bestk::graph::generators::{self, regular};
@@ -33,7 +35,7 @@ use bestk::graph::testkit::{check, Gen};
 use bestk::graph::{CsrGraph, VertexId};
 use bestk_engine::Dataset;
 
-/// Thread counts the parallel strategy is exercised at. 7 is deliberately
+/// Thread counts the forced dispatch is exercised at. 7 is deliberately
 /// prime and larger than the chunk-per-worker alignment assumptions.
 const THREADS: [usize; 4] = [1, 2, 4, 7];
 
@@ -48,11 +50,23 @@ fn gate() -> std::sync::MutexGuard<'static, ()> {
     GATE.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Asserts the parallel primary reproduces the oracle bit-for-bit on `g`,
-/// including the downstream artifacts the sweep consumes (tags and per-k
-/// primaries).
-fn assert_strategies_agree(g: &CsrGraph, context: &str) {
+/// Asserts the one-thread run has the reference coreness and peel order,
+/// and that forced dispatch reproduces it bit-for-bit at every thread
+/// count, including the downstream artifacts the sweep consumes (tags and
+/// per-k primaries).
+fn assert_thread_invariant(g: &CsrGraph, context: &str) {
     let want = core_decomposition(g);
+    let r = reference_peel(g);
+    assert_eq!(
+        want.coreness_slice(),
+        &r.coreness[..],
+        "{context}: coreness"
+    );
+    assert_eq!(
+        want.peel_ordering(),
+        &r.peel_order[..],
+        "{context}: peel order"
+    );
     let want_ordered = OrderedGraph::build(g, &want);
     let want_profile = core_set_profile(&want_ordered, true);
     for threads in THREADS {
@@ -85,7 +99,7 @@ fn random_graphs_are_bit_identical() {
     let _g = gate();
     check("peel equivalence random sweep", 24, |gen: &mut Gen| {
         let g = gen.graph(60, 220);
-        assert_strategies_agree(&g, "random");
+        assert_thread_invariant(&g, "random");
     });
 }
 
@@ -105,7 +119,7 @@ fn sparse_and_degenerate_shapes_are_bit_identical() {
         ("star", regular::star(17)),
         ("figure2", generators::paper_figure2()),
     ] {
-        assert_strategies_agree(&g, name);
+        assert_thread_invariant(&g, name);
     }
 }
 
@@ -126,17 +140,17 @@ fn adversarial_shapes_are_bit_identical() {
             generators::overlapping_cliques(80, 8, (4, 9), 17),
         ),
     ] {
-        assert_strategies_agree(&g, name);
+        assert_thread_invariant(&g, name);
     }
 }
 
 #[test]
 fn snapshot_bytes_are_identical_under_both_strategies() {
     let _g = gate();
-    // The end-to-end determinism contract: a dataset built under the
-    // parallel policy serializes to the *same bytes* as one built by the
-    // sequential oracle, and holds the same peel order, Alg. 1 tags, and
-    // forest, which the snapshot does not persist.
+    // The end-to-end determinism contract: a dataset built under a
+    // parallel policy serializes to the *same bytes* as one built under
+    // `ExecPolicy::Sequential`, and holds the same peel order, Alg. 1
+    // tags, and forest, which the snapshot does not persist.
     for (name, g) in [
         ("random", generators::erdos_renyi_gnm(300, 1200, 41)),
         ("ladder", generators::shell_ladder(7, 9)),
@@ -164,8 +178,8 @@ struct ReferencePeel {
     rounds: usize,
 }
 
-/// A third, independent transcription of the canonical peel (kept
-/// deliberately naive): per level, collect every live vertex of minimum
+/// The test oracle: an independent transcription of the canonical peel
+/// (kept deliberately naive, `O(n·kmax + m)`): per level, collect every live vertex of minimum
 /// degree ascending by id; peel whole frontiers simultaneously; decrement
 /// live neighbors in frontier-scan order; vertices crossing the level form
 /// the next frontier in first-crossing order.
@@ -292,24 +306,25 @@ fn assert_frontier_invariants(g: &CsrGraph, d: &CoreDecomposition, context: &str
 }
 
 #[test]
-fn frontier_and_bucket_invariants_hold_for_both_strategies() {
+fn frontier_and_bucket_invariants_hold_inline_and_fanned_out() {
     let _g = gate();
     check("peel frontier invariants", 16, |gen: &mut Gen| {
         let g = gen.graph(40, 140);
-        assert_frontier_invariants(&g, &core_decomposition(&g), "oracle");
+        assert_frontier_invariants(&g, &core_decomposition(&g), "one thread");
         let policy = ExecPolicy::with_threads(4).unwrap();
-        assert_frontier_invariants(&g, &par_peel(&g, &policy, FORCE_PARALLEL), "primary");
+        assert_frontier_invariants(&g, &par_peel(&g, &policy, FORCE_PARALLEL), "4 threads");
     });
 }
 
 #[test]
-fn observed_rounds_and_frontier_sizes_are_strategy_invariant() {
+fn observed_rounds_and_frontier_sizes_are_thread_count_invariant() {
     use std::sync::Arc;
     let _g = gate();
-    // Both strategies must report the identical canonical round structure
-    // to bestk-obs — that is what keeps the metrics golden stable across
-    // thread counts — and the histogram must account for every vertex
-    // exactly once (frontier disjointness, observed externally).
+    // The inline and the fanned-out runs must report the identical
+    // canonical round structure to bestk-obs — that is what keeps the
+    // metrics golden stable across thread counts — and the histogram must
+    // account for every vertex exactly once (frontier disjointness,
+    // observed externally).
     let clock = || Arc::new(bestk::obs::ManualClock::with_step(1)) as Arc<dyn bestk::obs::Clock>;
     for g in [
         generators::shell_ladder(6, 8),
@@ -336,18 +351,5 @@ fn observed_rounds_and_frontier_sizes_are_strategy_invariant() {
                 "{threads} threads"
             );
         }
-    }
-}
-
-#[test]
-fn strategy_selection_follows_the_policy() {
-    let _g = gate();
-    assert_eq!(
-        PeelStrategy::for_policy(&ExecPolicy::Sequential),
-        PeelStrategy::Sequential
-    );
-    for threads in [2, 4, 7] {
-        let policy = ExecPolicy::with_threads(threads).unwrap();
-        assert_eq!(PeelStrategy::for_policy(&policy), PeelStrategy::Parallel);
     }
 }
