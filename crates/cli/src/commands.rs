@@ -649,8 +649,9 @@ fn write_commit_line(
 
 /// Parses `--max-inflight` / `--max-line-bytes` into serving limits,
 /// starting from [`bestk_engine::ServeLimits::default`]. `--max-inflight 0`
-/// is allowed (a drain configuration that sheds every request);
-/// `--max-line-bytes` must be positive.
+/// is allowed (a drain configuration that sheds every request; the loop
+/// answers one request at a time, so any other value admits every
+/// request); `--max-line-bytes` must be positive.
 fn serve_limits(args: &ParsedArgs) -> Result<bestk_engine::ServeLimits, CliError> {
     let mut limits = bestk_engine::ServeLimits::default();
     if let Some(raw) = args.opt("max-inflight") {
@@ -734,31 +735,16 @@ pub fn serve(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let engine = bestk_engine::SharedEngine::with_budget(budget);
     match port {
         None => {
-            let stdin = std::io::stdin();
-            match record {
-                None => {
-                    bestk_engine::serve_lines_with(
-                        &engine,
-                        &policy,
-                        stdin.lock(),
-                        &mut *out,
-                        &limits,
-                    )?;
-                }
-                Some(path) => {
-                    let spec = std::env::var("BESTK_FAULTS").unwrap_or_default();
-                    let mut recorder = bestk_engine::ServeRecorder::new(&limits, &spec);
-                    bestk_engine::serve_lines_recorded(
-                        &engine,
-                        &policy,
-                        stdin.lock(),
-                        &mut *out,
-                        &limits,
-                        &mut recorder,
-                    )?;
-                    recorder.save(path)?;
-                    writeln!(out, "recorded\t{path}")?;
-                }
+            let mut recording = record.map(|path| {
+                let spec = std::env::var("BESTK_FAULTS").unwrap_or_default();
+                (path, bestk_engine::ServeRecorder::new(&limits, &spec))
+            });
+            let recorder = recording.as_mut().map(|(_, recorder)| recorder);
+            bestk_engine::Session::new(&engine, &policy, &limits, recorder)
+                .serve(std::io::stdin().lock(), &mut *out)?;
+            if let Some((path, recorder)) = recording {
+                recorder.save(path)?;
+                writeln!(out, "recorded\t{path}")?;
             }
         }
         Some(port) => {
@@ -1475,15 +1461,9 @@ mod tests {
         let policy = bestk_exec::ExecPolicy::auto();
         let session = format!("load g {snap}\nquery g stats\nquit\n");
         let mut replies = Vec::new();
-        bestk_engine::serve_lines_recorded(
-            &engine,
-            &policy,
-            session.as_bytes(),
-            &mut replies,
-            &limits,
-            &mut recorder,
-        )
-        .unwrap();
+        bestk_engine::Session::new(&engine, &policy, &limits, Some(&mut recorder))
+            .serve(session.as_bytes(), &mut replies)
+            .unwrap();
         let rec = fixture_path("session.bestkrec");
         recorder.save(&rec).unwrap();
 

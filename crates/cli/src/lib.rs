@@ -113,7 +113,11 @@ commands:
            [--max-inflight N] [--max-line-bytes N] [--metrics-dump]
            [--record FILE]                           serving loop (stdio or TCP;
                                                      --record captures stdio
-                                                     sessions to a .bestkrec)
+                                                     sessions to a .bestkrec;
+                                                     one request at a time, so
+                                                     --max-inflight 0 sheds
+                                                     every request and any
+                                                     other value admits all)
   replay   <recording> [--threads N]                 re-drive a .bestkrec and
                                                      diff replies byte-for-byte
   fuzz     <surface>|all [--seeds N] [--budget-bytes B] [--seed-start S]

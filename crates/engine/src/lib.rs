@@ -67,8 +67,8 @@ pub use record::{
 };
 pub use registry::SharedEngine;
 pub use serve::{
-    handle_request, serve_lines, serve_lines_recorded, serve_lines_with, serve_on_listener,
-    serve_on_listener_recorded, serve_tcp, Control, ServeLimits,
+    handle_request, serve_lines, serve_lines_with, serve_on_listener, serve_tcp, Control,
+    ServeLimits, Session,
 };
 pub use snapshot::{load_or_rebuild, RetryPolicy};
 pub use store::GraphStore;

@@ -1,14 +1,16 @@
 //! Deterministic serve record/replay (`.bestkrec`, magic `BESTKREC1`).
 //!
-//! A [`ServeRecorder`] rides inside the serving loop
-//! ([`crate::serve::serve_lines_recorded`]) and logs everything the loop's
-//! behaviour depends on: the session limits, the installed `BESTK_FAULTS`
-//! spec, every request line *as the engine saw it* (post-mangle), every
-//! reply byte, the two clock readings around each admitted request, and
-//! oversized-line rejections. [`replay_path`] then re-drives the requests
-//! through a fresh [`SharedEngine`] under the reconstructed fault plan and
-//! diffs every reply byte-for-byte — a recorded session is a portable,
-//! self-verifying regression artifact.
+//! A [`ServeRecorder`] rides inside a serving [`Session`] and logs
+//! everything the session's behaviour depends on: the session limits, the
+//! installed `BESTK_FAULTS` spec, every request line *as the engine saw
+//! it* (post-mangle), every reply byte, the two clock readings around each
+//! admitted request, and oversized-line rejections. [`replay_path`] then
+//! builds a `Session` from the recorded limits over a fresh
+//! [`SharedEngine`], under the reconstructed fault plan, and feeds each
+//! recorded request through the serve loop's own request step, with the
+//! recorded clock readings. It diffs every reply byte-for-byte, and the
+//! replay reproduces every `serve.*` metric of the recorded session — a
+//! recorded session is a portable, self-verifying regression artifact.
 //!
 //! ## File layout
 //!
@@ -36,21 +38,22 @@
 //! Replay strips the `serve.read` site from the reconstructed plan —
 //! recorded lines are already post-mangle, and per-site fault streams are
 //! seeded independently, so removing one site leaves every other site's
-//! draw sequence intact. The overload check re-runs with the same
-//! short-circuit shape as the live loop, so `serve.overload` draws line up
-//! one-to-one. Two caveats, enforced by policy rather than code: `metrics`
-//! replies embed timing-dependent counters and do not replay stably, and a
-//! session whose `load` adopted a write-ahead log must have the sidecar
-//! restored to its pre-record state before replaying (DESIGN.md §16).
+//! draw sequence intact. The overload check is the live loop's own, so
+//! `serve.overload` draws line up one-to-one. Two caveats, enforced by
+//! policy rather than code: `metrics` replies embed timing-dependent
+//! counters and do not replay stably, and a session whose `load` adopted a
+//! write-ahead log must have the sidecar restored to its pre-record state
+//! before replaying (DESIGN.md §16).
 
 use std::path::Path;
 
 use bestk_exec::ExecPolicy;
 use bestk_faults::sites;
+use bestk_obs::{Clock, ScriptedClock};
 
 use crate::error::EngineError;
 use crate::registry::SharedEngine;
-use crate::serve::{handle_request, LATENCY_BOUNDS_NANOS};
+use crate::serve::{ServeLimits, Session};
 use crate::snapshot::fnv1a;
 
 /// Magic bytes opening every serve recording.
@@ -70,8 +73,8 @@ fn frame(buf: &mut Vec<u8>, payload: &[u8]) {
 }
 
 /// Captures one serving session into an in-memory `.bestkrec` image. The
-/// serving loop calls the hooks; [`finish`](Self::finish) (or
-/// [`save`](Self::save)) seals the image with the trailer checksum.
+/// [`Session`] it is handed to calls the hooks; [`finish`](Self::finish)
+/// (or [`save`](Self::save)) seals the image with the trailer checksum.
 #[derive(Debug)]
 pub struct ServeRecorder {
     buf: Vec<u8>,
@@ -83,7 +86,7 @@ impl ServeRecorder {
     /// crate exposes no accessor for the installed plan, so the caller
     /// passes the spec it installed — the CLI forwards `BESTK_FAULTS`,
     /// tests forward what they gave `with_plan`.
-    pub fn new(limits: &crate::serve::ServeLimits, fault_spec: &str) -> ServeRecorder {
+    pub fn new(limits: &ServeLimits, fault_spec: &str) -> ServeRecorder {
         let mut buf = RECORD_MAGIC.to_vec();
         let mut meta = vec![TAG_META];
         meta.extend_from_slice(&(limits.max_line_bytes as u64).to_le_bytes());
@@ -95,21 +98,21 @@ impl ServeRecorder {
     }
 
     /// Logs one request line exactly as the engine saw it (post-mangle).
-    pub fn request(&mut self, line: &str) {
+    pub(crate) fn request(&mut self, line: &str) {
         let mut p = vec![TAG_REQUEST];
         p.extend_from_slice(line.as_bytes());
         frame(&mut self.buf, &p);
     }
 
     /// Logs one reply (without the trailing newline the transport adds).
-    pub fn reply(&mut self, reply: &str) {
+    pub(crate) fn reply(&mut self, reply: &str) {
         let mut p = vec![TAG_REPLY];
         p.extend_from_slice(reply.as_bytes());
         frame(&mut self.buf, &p);
     }
 
     /// Logs one clock observation (engine-visible nondeterminism).
-    pub fn clock(&mut self, nanos: u64) {
+    pub(crate) fn clock(&mut self, nanos: u64) {
         let mut p = vec![TAG_CLOCK];
         p.extend_from_slice(&nanos.to_le_bytes());
         frame(&mut self.buf, &p);
@@ -117,7 +120,7 @@ impl ServeRecorder {
 
     /// Logs an oversized-line rejection (the line itself was discarded by
     /// the transport and never reached the engine).
-    pub fn oversized(&mut self) {
+    pub(crate) fn oversized(&mut self) {
         frame(&mut self.buf, &[TAG_OVERSIZED]);
     }
 
@@ -380,69 +383,47 @@ impl ReplayReport {
 
 /// Re-drives a decoded recording through `engine` and diffs every reply
 /// byte-for-byte. The recorded fault plan is reconstructed with the
-/// `serve.read` site stripped (recorded lines are already post-mangle);
-/// recorded clock readings replay into the `serve.latency_nanos` histogram
-/// so even the latency telemetry reproduces.
+/// `serve.read` site stripped (recorded lines are already post-mangle).
+/// Each entry goes through the serve loop's own request step in a
+/// [`Session`] built from the recorded limits, timed by the recorded clock
+/// readings, so the `serve.*` telemetry reproduces along with the replies.
 pub fn replay_recording(
     recording: &Recording,
     engine: &SharedEngine,
     policy: &ExecPolicy,
 ) -> Result<ReplayReport, EngineError> {
     let drive = || -> ReplayReport {
-        let registry = bestk_obs::registry();
-        let latency = registry.histogram("serve.latency_nanos", LATENCY_BOUNDS_NANOS);
+        let limits = ServeLimits {
+            max_line_bytes: recording.max_line_bytes,
+            max_inflight: recording.max_inflight,
+        };
+        let mut session = Session::new(engine, policy, &limits, None);
+        let too_large = EngineError::TooLarge {
+            limit: limits.max_line_bytes,
+        };
         let mut report = ReplayReport {
-            requests: 0,
+            requests: recording.entries.len(),
             matched: 0,
             mismatches: Vec::new(),
         };
         for (index, entry) in recording.entries.iter().enumerate() {
-            report.requests += 1;
-            let (line, recorded, replayed) = match entry {
-                Entry::Oversized { reply } => {
-                    // The transport rejected the line before the engine saw
-                    // it; the reply is a pure function of the limit.
-                    let expect = format!(
-                        "err\t{}",
-                        EngineError::TooLarge {
-                            limit: recording.max_line_bytes
-                        }
-                    );
-                    (String::new(), reply.clone(), expect)
-                }
+            let (request, clocks, recorded) = match entry {
+                Entry::Oversized { reply } => (Err(&too_large), &[][..], reply),
                 Entry::Request {
                     line,
                     clocks,
                     reply,
-                } => {
-                    // Same shape (and short-circuit) as the live loop, so
-                    // the serve.overload draw sequence lines up exactly.
-                    let shed = 1 > recording.max_inflight
-                        || bestk_faults::overloaded(sites::SERVE_OVERLOAD);
-                    let got = if shed {
-                        format!(
-                            "err\t{}",
-                            EngineError::Overloaded {
-                                limit: recording.max_inflight
-                            }
-                        )
-                    } else {
-                        let (got, _control) = handle_request(engine, policy, line);
-                        if let [start, end] = clocks[..] {
-                            latency.observe(end.saturating_sub(start));
-                        }
-                        got
-                    };
-                    (line.clone(), reply.clone(), got)
-                }
+                } => (Ok(line.as_str()), &clocks[..], reply),
             };
-            if recorded == replayed {
+            let clock = ScriptedClock::new(clocks.to_vec());
+            let (replayed, _control) = session.step(request, || clock.now_nanos());
+            if *recorded == replayed {
                 report.matched += 1;
             } else {
                 report.mismatches.push(Mismatch {
                     index,
-                    line,
-                    recorded,
+                    line: request.unwrap_or("").to_owned(),
+                    recorded: recorded.clone(),
                     replayed,
                 });
             }
@@ -474,7 +455,6 @@ pub fn replay_path<P: AsRef<Path>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serve::{serve_lines_recorded, ServeLimits};
     use bestk_graph::generators;
 
     fn policy() -> ExecPolicy {
@@ -491,27 +471,46 @@ mod tests {
         let eng = fig2_engine();
         let mut recorder = ServeRecorder::new(limits, spec);
         let mut out = Vec::new();
-        serve_lines_recorded(&eng, &policy(), input, &mut out, limits, &mut recorder).unwrap();
+        Session::new(&eng, &policy(), limits, Some(&mut recorder))
+            .serve(input, &mut out)
+            .unwrap();
         recorder.finish()
     }
 
     #[test]
     fn a_plain_session_round_trips_and_replays_clean() {
-        let limits = ServeLimits::default();
-        let input =
-            b"query fig2 stats\nadd-edge fig2 0 11\ndel-edge fig2 0 1\ncommit fig2\nquery fig2 bestkset ad\nquit\n";
-        let image = record_session(input, &limits, "");
-        let rec = decode_recording(&image).unwrap();
-        assert_eq!(rec.max_line_bytes, limits.max_line_bytes);
-        assert_eq!(rec.max_inflight, limits.max_inflight);
-        assert_eq!(rec.fault_spec, "");
-        assert_eq!(rec.entries.len(), 6);
-        for threads in [1, 2, 4] {
-            let eng = fig2_engine();
-            let policy = ExecPolicy::with_threads(threads).unwrap();
-            let report = replay_recording(&rec, &eng, &policy).unwrap();
-            assert!(report.clean(), "threads {threads}: {:?}", report.mismatches);
-            assert_eq!((report.requests, report.matched), (6, 6));
+        let drain = ServeLimits {
+            max_inflight: 0,
+            ..ServeLimits::default()
+        };
+        for limits in [ServeLimits::default(), drain] {
+            let input =
+                b"query fig2 stats\nadd-edge fig2 0 11\ndel-edge fig2 0 1\ncommit fig2\nquery fig2 bestkset ad\nquit\n";
+            let image = record_session(input, &limits, "");
+            let rec = decode_recording(&image).unwrap();
+            assert_eq!(rec.max_line_bytes, limits.max_line_bytes);
+            assert_eq!(rec.max_inflight, limits.max_inflight);
+            assert_eq!(rec.fault_spec, "");
+            assert_eq!(rec.entries.len(), 6);
+            if limits.max_inflight == 0 {
+                // A drain sheds every request, `quit` included, before it
+                // is timed: no clock frames.
+                for entry in &rec.entries {
+                    assert!(
+                        matches!(entry, Entry::Request { clocks, reply, .. }
+                            if clocks.is_empty()
+                                && reply == "err\toverloaded: 0 requests already in flight"),
+                        "{entry:?}"
+                    );
+                }
+            }
+            for threads in [1, 2, 4] {
+                let eng = fig2_engine();
+                let policy = ExecPolicy::with_threads(threads).unwrap();
+                let report = replay_recording(&rec, &eng, &policy).unwrap();
+                assert!(report.clean(), "threads {threads}: {:?}", report.mismatches);
+                assert_eq!((report.requests, report.matched), (6, 6));
+            }
         }
     }
 

@@ -43,10 +43,14 @@
 //! * request lines are capped at [`ServeLimits::max_line_bytes`] — an
 //!   over-long line is discarded (to the next newline) and answered with a
 //!   typed `err request too large` reply;
-//! * admission is gated on [`ServeLimits::max_inflight`]; requests past
-//!   the gauge are shed with `err overloaded` instead of queueing;
+//! * admission is gated on [`ServeLimits::max_inflight`]: the loop answers
+//!   one request at a time, so `0` sheds every request with
+//!   `err overloaded` (a drain) and any other value admits every request
+//!   (real concurrent admission is open work in `ROADMAP.md`); the
+//!   `serve.overload` failpoint sheds on demand;
 //! * a connection whose read timeout cannot be configured gets a typed
-//!   `err` line and is closed — the accept loop keeps serving;
+//!   `err` line (counted in `serve.errors{kind="io"}`) and is closed — the
+//!   accept loop keeps serving;
 //! * read errors (timeouts, hangups, injected faults) end the connection,
 //!   not the server.
 //!
@@ -59,10 +63,12 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener};
+use std::sync::Arc;
 use std::time::Duration;
 
 use bestk_exec::ExecPolicy;
 use bestk_faults::sites;
+use bestk_obs::{Counter, Histogram, MetricsRegistry};
 
 use bestk_graph::generators::EdgeOp;
 
@@ -74,10 +80,8 @@ use crate::registry::SharedEngine;
 use crate::snapshot::RetryPolicy;
 
 /// Bucket bounds (inclusive, nanoseconds) for `serve.latency_nanos`:
-/// 1µs … 1s in decades, overflow above. Shared with replay
-/// ([`crate::record`]), which re-observes recorded latencies into the
-/// same histogram.
-pub(crate) const LATENCY_BOUNDS_NANOS: &[u64] = &[
+/// 1µs … 1s in decades, overflow above.
+const LATENCY_BOUNDS_NANOS: &[u64] = &[
     1_000,
     10_000,
     100_000,
@@ -118,11 +122,11 @@ pub struct ServeLimits {
     /// Longer lines are discarded up to the next newline and answered with
     /// a typed `err request too large` reply.
     pub max_line_bytes: usize,
-    /// Maximum requests admitted concurrently. The loop itself is
-    /// sequential, so the gauge only exceeds 1 if a future transport
-    /// overlaps requests — but `0` is a meaningful drain configuration
-    /// (shed everything), and the `serve.overload` failpoint drives the
-    /// shedding path deterministically in tests.
+    /// Admission limit. The loop answers one request at a time, so `0`
+    /// sheds every request with `err overloaded` (a drain configuration)
+    /// and any other value admits every request (real concurrent admission
+    /// is open work in `ROADMAP.md`). The `serve.overload` failpoint drives
+    /// the shedding path deterministically in tests.
     pub max_inflight: usize,
 }
 
@@ -377,13 +381,8 @@ pub fn serve_lines<R: BufRead, W: Write>(
     serve_lines_with(engine, policy, reader, writer, &ServeLimits::default())
 }
 
-/// Serves requests from any line source to any sink (the stdio transport,
-/// and the per-connection body of the TCP transport). Returns `Control::Quit`
-/// if the stream asked to shut the whole server down, `Control::Continue`
-/// if it simply ended (EOF / timeout / client hangup).
-///
-/// Every reply is flushed before the next request is read, so on `Quit`
-/// the final `ok bye` has already been drained to the client.
+/// Serves requests from any line source to any sink: one [`Session`]
+/// without a recorder, over one stream (see [`Session::serve`]).
 pub fn serve_lines_with<R: BufRead, W: Write>(
     engine: &SharedEngine,
     policy: &ExecPolicy,
@@ -391,115 +390,157 @@ pub fn serve_lines_with<R: BufRead, W: Write>(
     writer: W,
     limits: &ServeLimits,
 ) -> Result<Control, EngineError> {
-    serve_lines_inner(engine, policy, reader, writer, limits, None)
+    Session::new(engine, policy, limits, None).serve(reader, writer)
 }
 
-/// [`serve_lines_with`] with a [`ServeRecorder`] riding along: every
-/// request the engine sees (post-mangle), every reply, the clock readings
-/// around each admitted request, and every oversized-line rejection are
-/// logged into the recorder, so the session can later be re-driven and
-/// diffed byte-for-byte by [`crate::record::replay_recording`].
-pub fn serve_lines_recorded<R: BufRead, W: Write>(
-    engine: &SharedEngine,
-    policy: &ExecPolicy,
-    reader: R,
-    writer: W,
-    limits: &ServeLimits,
-    recorder: &mut ServeRecorder,
-) -> Result<Control, EngineError> {
-    serve_lines_inner(engine, policy, reader, writer, limits, Some(recorder))
+/// One serving session: the engine and policy requests run against, the
+/// limits they are admitted under, the serving metric handles, and an
+/// optional [`ServeRecorder`].
+///
+/// [`Session::serve`] is the one transport loop. Its private `step` is
+/// the one request step: it counts, admits or sheds, times and answers
+/// each request, and writes the recorder frames. Replay
+/// ([`crate::record::replay_recording`]) feeds recorded requests through
+/// the same step, so a replay reproduces the replies and every `serve.*`
+/// metric of the session it re-drives.
+pub struct Session<'a> {
+    engine: &'a SharedEngine,
+    policy: &'a ExecPolicy,
+    limits: ServeLimits,
+    registry: Arc<MetricsRegistry>,
+    requests: Counter,
+    latency: Histogram,
+    recorder: Option<&'a mut ServeRecorder>,
 }
 
-fn serve_lines_inner<R: BufRead, W: Write>(
-    engine: &SharedEngine,
-    policy: &ExecPolicy,
-    mut reader: R,
-    mut writer: W,
-    limits: &ServeLimits,
-    mut recorder: Option<&mut ServeRecorder>,
-) -> Result<Control, EngineError> {
-    // Resolved once per serving loop: a loop lives entirely inside one
-    // registry epoch, and pre-registering here means a bare `metrics`
-    // request (or a `--metrics-dump`) renders the serving metrics even
-    // before any traffic has counted.
-    let registry = bestk_obs::registry();
-    let requests = registry.counter("serve.requests");
-    let latency = registry.histogram("serve.latency_nanos", LATENCY_BOUNDS_NANOS);
-    let mut inflight: usize = 0;
-    loop {
-        let line = match read_capped_line(&mut reader, limits.max_line_bytes) {
-            Ok(Some(l)) => l,
-            Ok(None) => return Ok(Control::Continue),
-            // A read timeout or client hangup ends this stream, not the server.
-            Err(_) => return Ok(Control::Continue),
-        };
-        let (reply, control) = match line {
-            Err(e) => {
-                if let Some(rec) = recorder.as_deref_mut() {
-                    rec.oversized();
-                }
-                record_error(e.kind());
-                (format!("err\t{e}"), Control::Continue)
-            }
-            Ok(mut line) => {
-                // The `serve.read` failpoint tears request lines mid-flight;
-                // a mangled request must come back as a typed error (or
-                // still parse, if the damage missed the grammar).
-                bestk_faults::mangle_line(sites::SERVE_READ, &mut line);
-                if line.trim().is_empty() {
+impl<'a> Session<'a> {
+    /// Starts a session. With a `recorder`, every request the engine sees
+    /// (post-mangle), every reply, the clock readings around each admitted
+    /// request, and every oversized-line rejection are logged into it, so
+    /// the session can later be re-driven and diffed byte-for-byte by
+    /// [`crate::record::replay_recording`].
+    pub fn new(
+        engine: &'a SharedEngine,
+        policy: &'a ExecPolicy,
+        limits: &ServeLimits,
+        recorder: Option<&'a mut ServeRecorder>,
+    ) -> Session<'a> {
+        // Resolved once per session: a session lives entirely inside one
+        // registry epoch, and pre-registering here means a bare `metrics`
+        // request (or a `--metrics-dump`) renders the serving metrics even
+        // before any traffic has counted.
+        let registry = bestk_obs::registry();
+        Session {
+            engine,
+            policy,
+            limits: *limits,
+            requests: registry.counter("serve.requests"),
+            latency: registry.histogram("serve.latency_nanos", LATENCY_BOUNDS_NANOS),
+            registry,
+            recorder,
+        }
+    }
+
+    /// Serves requests from one line source to one sink (the stdio
+    /// transport, and the per-connection body of the TCP transport).
+    /// Returns `Control::Quit` if the stream asked to shut the whole server
+    /// down, `Control::Continue` if it simply ended (EOF / timeout / client
+    /// hangup).
+    ///
+    /// Every reply is flushed before the next request is read, so on `Quit`
+    /// the final `ok bye` has already been drained to the client.
+    pub fn serve<R: BufRead, W: Write>(
+        &mut self,
+        mut reader: R,
+        mut writer: W,
+    ) -> Result<Control, EngineError> {
+        loop {
+            let mut line = match read_capped_line(&mut reader, self.limits.max_line_bytes) {
+                Ok(Some(l)) => l,
+                // EOF, a read timeout or a client hangup ends this stream,
+                // not the server.
+                Ok(None) | Err(_) => return Ok(Control::Continue),
+            };
+            if let Ok(text) = &mut line {
+                // The `serve.read` failpoint tears request lines
+                // mid-flight; a mangled request must come back as a typed
+                // error (or still parse, if the damage missed the grammar).
+                bestk_faults::mangle_line(sites::SERVE_READ, text);
+                if text.trim().is_empty() {
                     continue;
                 }
+            }
+            let (reply, control) = self.step(line.as_deref(), bestk_obs::now_nanos);
+            writer.write_all(reply.as_bytes())?;
+            writer.write_all(b"\n")?;
+            writer.flush()?;
+            if control == Control::Quit {
+                return Ok(Control::Quit);
+            }
+        }
+    }
+
+    /// Takes one request as the engine sees it — a line after the
+    /// `serve.read` mangle, or the transport's rejection of an oversized
+    /// line — and returns its reply. `clock` times the request's handling:
+    /// the live loop passes [`bestk_obs::now_nanos`], replay the recorded
+    /// readings.
+    pub(crate) fn step(
+        &mut self,
+        request: Result<&str, &EngineError>,
+        mut clock: impl FnMut() -> u64,
+    ) -> (String, Control) {
+        let (reply, control) = match request {
+            Err(rejected) => {
+                if let Some(rec) = self.recorder.as_deref_mut() {
+                    rec.oversized();
+                }
+                record_error(rejected.kind());
+                (format!("err\t{rejected}"), Control::Continue)
+            }
+            Ok(line) => {
                 // Recorded *after* the mangle: the recording holds the line
                 // the engine actually saw, so replay needs no serve.read
                 // faults (and strips that site from the reconstructed plan).
-                if let Some(rec) = recorder.as_deref_mut() {
-                    rec.request(&line);
+                if let Some(rec) = self.recorder.as_deref_mut() {
+                    rec.request(line);
                 }
-                requests.inc();
+                self.requests.inc();
                 let verb = line.split_whitespace().next().unwrap_or("");
                 let verb = if VERBS.contains(&verb) { verb } else { "other" };
-                registry
+                self.registry
                     .counter(&format!("serve.requests{{verb=\"{verb}\"}}"))
                     .inc();
-                inflight += 1;
-                let shed = inflight > limits.max_inflight
+                // The loop answers one request at a time, so only a drain
+                // limit of 0 or an injected overload sheds. The limit check
+                // short-circuits first, so a drain draws no serve.overload
+                // faults.
+                let shed = self.limits.max_inflight == 0
                     || bestk_faults::overloaded(sites::SERVE_OVERLOAD);
-                let answered = if shed {
-                    registry.counter("serve.shed").inc();
+                if shed {
+                    self.registry.counter("serve.shed").inc();
                     record_error("overloaded");
-                    (
-                        format!(
-                            "err\t{}",
-                            EngineError::Overloaded {
-                                limit: limits.max_inflight
-                            }
-                        ),
-                        Control::Continue,
-                    )
+                    let e = EngineError::Overloaded {
+                        limit: self.limits.max_inflight,
+                    };
+                    (format!("err\t{e}"), Control::Continue)
                 } else {
-                    let start = bestk_obs::now_nanos();
-                    let answered = handle_request(engine, policy, &line);
-                    let end = bestk_obs::now_nanos();
-                    latency.observe(end.saturating_sub(start));
-                    if let Some(rec) = recorder.as_deref_mut() {
+                    let start = clock();
+                    let answered = handle_request(self.engine, self.policy, line);
+                    let end = clock();
+                    self.latency.observe(end.saturating_sub(start));
+                    if let Some(rec) = self.recorder.as_deref_mut() {
                         rec.clock(start);
                         rec.clock(end);
                     }
                     answered
-                };
-                inflight -= 1;
-                answered
+                }
             }
         };
-        if let Some(rec) = recorder.as_deref_mut() {
+        if let Some(rec) = self.recorder.as_deref_mut() {
             rec.reply(&reply);
         }
-        writer.write_all(reply.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
-        if control == Control::Quit {
-            return Ok(Control::Quit);
-        }
+        (reply, control)
     }
 }
 
@@ -521,32 +562,7 @@ pub fn serve_on_listener(
     timeout: Option<Duration>,
     limits: &ServeLimits,
 ) -> Result<(), EngineError> {
-    serve_on_listener_inner(engine, policy, listener, timeout, limits, None)
-}
-
-/// [`serve_on_listener`] with a [`ServeRecorder`] riding along: the
-/// sequential connections' traffic is logged into one recording, in
-/// arrival order, exactly as [`serve_lines_recorded`] does for a single
-/// stream.
-pub fn serve_on_listener_recorded(
-    engine: &SharedEngine,
-    policy: &ExecPolicy,
-    listener: &TcpListener,
-    timeout: Option<Duration>,
-    limits: &ServeLimits,
-    recorder: &mut ServeRecorder,
-) -> Result<(), EngineError> {
-    serve_on_listener_inner(engine, policy, listener, timeout, limits, Some(recorder))
-}
-
-fn serve_on_listener_inner(
-    engine: &SharedEngine,
-    policy: &ExecPolicy,
-    listener: &TcpListener,
-    timeout: Option<Duration>,
-    limits: &ServeLimits,
-    mut recorder: Option<&mut ServeRecorder>,
-) -> Result<(), EngineError> {
+    let mut session = Session::new(engine, policy, limits, None);
     for stream in listener.incoming() {
         let mut stream = match stream {
             Ok(s) => s,
@@ -564,7 +580,9 @@ fn serve_on_listener_inner(
             // error instead of silently dropping the connection, then keep
             // accepting. Serving without a timeout would let a silent
             // client wedge the server.
-            let reply = format!("err\t{}\n", EngineError::Io(e));
+            let e = EngineError::Io(e);
+            record_error(e.kind());
+            let reply = format!("err\t{e}\n");
             let _ = stream.write_all(reply.as_bytes());
             let _ = stream.flush();
             let _ = stream.shutdown(std::net::Shutdown::Both);
@@ -577,18 +595,10 @@ fn serve_on_listener_inner(
         // The `serve.read` failpoint also injects socket-level faults
         // (errors, short reads) under the buffered reader.
         let reader = BufReader::new(bestk_faults::FaultyRead::new(sites::SERVE_READ, cloned));
-        let control = serve_lines_inner(
-            engine,
-            policy,
-            reader,
-            &stream,
-            limits,
-            recorder.as_deref_mut(),
-        )?;
-        if control == Control::Quit {
+        if session.serve(reader, &stream)? == Control::Quit {
             // Drain-on-shutdown: every reply (including `ok bye`) was
-            // flushed by serve_lines_with; close both directions so the
-            // client observes EOF rather than a reset.
+            // flushed by the session; close both directions so the client
+            // observes EOF rather than a reset.
             let _ = stream.shutdown(std::net::Shutdown::Both);
             return Ok(());
         }

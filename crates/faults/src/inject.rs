@@ -35,31 +35,42 @@ pub fn io_error(site: &str) -> Option<io::Error> {
 /// Buffer-corruption faults at `site`: flips one bit, truncates, or
 /// simulates a short read over `buf`, in place. Returns what was done.
 pub fn corrupt_buffer(site: &str, buf: &mut Vec<u8>) -> Option<&'static str> {
-    if buf.is_empty() {
+    let shot = roll_corruption(site, buf.len())?;
+    Some(corrupt_with(shot, buf))
+}
+
+/// Rolls a buffer-corruption fault at `site` for a buffer of `len` bytes;
+/// an empty buffer has nothing to damage and draws nothing.
+fn roll_corruption(site: &str, len: usize) -> Option<Shot> {
+    if len == 0 {
         return None;
     }
-    let shot = roll_matching(site, |f| {
+    roll_matching(site, |f| {
         matches!(f, Fault::BitFlip | Fault::Truncate | Fault::ShortRead)
-    })?;
+    })
+}
+
+/// Applies a drawn corruption `shot` to the non-empty `buf`.
+fn corrupt_with(shot: Shot, buf: &mut Vec<u8>) -> &'static str {
     let len = buf.len() as u64;
     match shot.fault {
         Fault::BitFlip => {
             let bit = shot.param % (8 * len);
             let at = usize::try_from(bit / 8).unwrap_or(0);
             buf[at] ^= 1u8 << (bit % 8);
-            Some("bit-flip")
+            "bit-flip"
         }
         Fault::Truncate => {
             // Anywhere from empty to one byte short.
             buf.truncate(usize::try_from(shot.param % len).unwrap_or(0));
-            Some("truncate")
+            "truncate"
         }
         _ => {
             // A short read keeps at least half the bytes — damage a
             // retry-less reader would plausibly see from one partial read.
             let keep = len / 2 + shot.param % (len - len / 2);
             buf.truncate(usize::try_from(keep).unwrap_or(0));
-            Some("short-read")
+            "short-read"
         }
     }
 }
@@ -93,10 +104,12 @@ pub fn overloaded(site: &str) -> bool {
 
 /// Torn-line faults for line protocols: corrupts `line` in place (bit
 /// flip or truncation; invalid UTF-8 is replaced lossily). Returns what
-/// was done.
+/// was done. Rolls before it touches the line, so it copies nothing unless
+/// a fault fires.
 pub fn mangle_line(site: &str, line: &mut String) -> Option<&'static str> {
-    let mut bytes = line.clone().into_bytes();
-    let what = corrupt_buffer(site, &mut bytes)?;
+    let shot = roll_corruption(site, line.len())?;
+    let mut bytes = std::mem::take(line).into_bytes();
+    let what = corrupt_with(shot, &mut bytes);
     *line = String::from_utf8_lossy(&bytes).into_owned();
     Some(what)
 }

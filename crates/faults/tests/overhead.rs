@@ -11,13 +11,17 @@
 
 use std::time::Instant;
 
-use bestk_faults::{injection_count, io_error, maybe_panic, overloaded, pressure, roll, sites};
+use bestk_faults::{
+    injection_count, io_error, mangle_line, maybe_panic, overloaded, pressure, roll, sites,
+};
 use bestk_graph::rng::Xoshiro256;
 
 #[test]
 fn disabled_failpoints_inject_nothing() {
     // No plan installed in this process: every helper must be inert.
     let before = injection_count();
+    let request = "query fig2 bestkset ad";
+    let mut line = request.to_string();
     for _ in 0..10_000 {
         for site in sites::all() {
             assert!(roll(site).is_none());
@@ -25,6 +29,8 @@ fn disabled_failpoints_inject_nothing() {
             assert!(!pressure(site));
             assert!(!overloaded(site));
             maybe_panic(site);
+            assert!(mangle_line(site, &mut line).is_none());
+            assert_eq!(line, request);
         }
     }
     assert_eq!(injection_count(), before);

@@ -79,9 +79,9 @@ impl Clock for ManualClock {
 /// A clock that replays a recorded sequence of readings: reading `i`
 /// returns `readings[i]`, and once the script is exhausted every further
 /// reading sticks at the last value (an empty script sticks at zero).
-/// Serve replay installs one so the re-driven session observes the exact
-/// timestamps the original recorded, making latency histograms — not just
-/// replies — bit-identical.
+/// Serve replay times each re-driven request with one, so the replay
+/// observes the exact timestamps the original recorded, making latency
+/// histograms — not just replies — bit-identical.
 #[derive(Debug)]
 pub struct ScriptedClock {
     readings: Vec<u64>,

@@ -391,6 +391,12 @@ fn timeout_install_failures_surface_on_the_connection() {
         );
         bestk_faults::with_plan(&plan, || {
             let before = injected_metrics();
+            let io_errors = || {
+                bestk_obs::snapshot()
+                    .counter("serve.errors{kind=\"io\"}")
+                    .unwrap_or(0)
+            };
+            let io_errors_before = io_errors();
             let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
             let addr = listener.local_addr().expect("addr");
             let engine = SharedEngine::with_budget(None);
@@ -441,6 +447,12 @@ fn timeout_install_failures_surface_on_the_connection() {
                 .find_map(|(site, n)| (site == sites::SERVE_TIMEOUT).then_some(n))
                 .unwrap_or(0);
             assert_eq!(timeout_injections, 1, "{context}: budget caps injections");
+            // The typed rejection counts like every other error reply.
+            assert_eq!(
+                io_errors() - io_errors_before,
+                1,
+                "{context}: the rejection counts in serve.errors"
+            );
         });
     }
 }
