@@ -8,7 +8,6 @@ use std::time::Duration;
 
 use bestk_bench::Bench;
 use bestk_core::hindex::hindex_core_decomposition_with;
-use bestk_core::triangles::count_triangles_with;
 use bestk_exec::ExecPolicy;
 use bestk_graph::{generators, GraphBuilder};
 use bestk_truss::decomposition::edge_supports_with;
@@ -54,10 +53,6 @@ fn bench_exec_kernels(b: &Bench) {
         let mut builder = GraphBuilder::new();
         builder.extend_edges(edges.iter().copied());
         builder.build_with(policy);
-    });
-
-    sweep(b, "exec/triangles", |policy| {
-        count_triangles_with(&g, policy);
     });
 
     sweep(b, "exec/hindex", |policy| {

@@ -46,6 +46,8 @@ fn main() {
         let (o, t_index) = time(|| OrderedGraph::build(&g, &d));
         for metric in metrics {
             let needs_tri = metric.needs_triangles();
+            // Clustering coefficient is the only triangle metric, so its run
+            // is the ordering's first triangle use and pays the listing.
             let (_, t_opt) = if needs_tri {
                 time(|| core_set_primaries_with_triangles(&o))
             } else {

@@ -41,6 +41,8 @@ fn main() {
             time(|| (OrderedGraph::build(&g, &d), CoreForest::build(&g, &d)));
         for metric in metrics {
             let needs_tri = metric.needs_triangles();
+            // Clustering coefficient is the only triangle metric, so its run
+            // is the ordering's first triangle use and pays the listing.
             let (_, t_opt) = time(|| single_core_primaries(&o, &forest, needs_tri));
             let skip_baseline = needs_tri && g.num_edges() > BASELINE_CC_EDGE_CAP;
             let t_base = if skip_baseline {

@@ -3,10 +3,12 @@
 //! Processes the compressed core forest children-first (the nodes come
 //! sorted by descending coreness), aggregating each core's primary values
 //! from its child cores plus the contribution of its own shell vertices —
-//! the same `O(1)`-per-vertex neighbor-count deltas as Algorithm 2/3, so the
-//! whole profile costs `O(n)` (`O(m^1.5)` with triangles) after
-//! decomposition, ordering, and forest construction.
+//! the very shell step Algorithms 2/3 run per shell, here run per node. The
+//! whole profile costs `O(n)` after decomposition, ordering, and forest
+//! construction; with triangles it costs `O(m)` once the ordering holds its
+//! min-rank triangle counts, which cost `O(m^1.5)` once per ordering.
 
+use crate::bestkset::ShellStep;
 use crate::forest::CoreForest;
 use crate::metrics::{CommunityMetric, GraphContext, MetricError, PrimaryValues};
 use crate::ordering::OrderedGraph;
@@ -130,109 +132,29 @@ impl SingleCoreProfile {
     }
 }
 
-/// Computes per-core primary values over the forest (Algorithm 5). With
-/// `with_triangles`, the triangle/triplet recurrence of Algorithm 3 runs
-/// per node (the forest's descending-coreness order provides exactly the
-/// top-down level sweep the recurrence needs).
+/// Computes per-core primary values over the forest (Algorithm 5): each
+/// node sums its children's primaries, then adds its own vertices through
+/// the shell step Algorithms 2/3 use. The forest's descending-coreness
+/// order is the top-down sweep that step needs. With `with_triangles` this
+/// reads the ordering's [`OrderedGraph::min_rank_triangles`], listing them
+/// first if nothing has yet.
 pub fn single_core_primaries(
     o: &OrderedGraph<'_>,
     forest: &CoreForest,
     with_triangles: bool,
 ) -> Vec<PrimaryValues> {
-    let node_count = forest.node_count();
-    let mut primaries = vec![PrimaryValues::default(); node_count];
-
-    // Triangle/triplet sweep state (global across nodes; see Algorithm 3).
-    let n = o.num_vertices();
-    let mut f_gt = vec![0u32; n];
-    let mut f_ge = vec![0u32; n];
-    let mut marked = vec![0u32; n];
-    let mut mark_stamp = 0u32;
-    let mut nbr_seen = vec![u32::MAX; n];
-    let mut kshell_nbr: Vec<bestk_graph::VertexId> = Vec::new();
-
-    for i in 0..node_count {
-        let node = forest.node(cast::u32_of(i));
+    let mut primaries = vec![PrimaryValues::default(); forest.node_count()];
+    let mut step = ShellStep::new(o, with_triangles);
+    for (i, node) in forest.nodes().iter().enumerate() {
         // Children first (they precede i in the array): aggregate.
         let mut pv = PrimaryValues::default();
         for &c in &node.children {
             pv.add_assign(&primaries[c as usize]);
         }
-        // Shell ("delta") contribution, exactly Algorithm 2's per-vertex
-        // updates restricted to this node's vertices.
-        let mut in_twice: u64 = 0;
-        let mut out: i64 = pv.boundary_edges as i64;
-        for &v in &node.vertices {
-            let gt = o.count_gt(v) as u64;
-            let eq = o.count_eq(v) as u64;
-            let lt = o.count_lt(v) as u64;
-            in_twice += 2 * gt + eq;
-            out += lt as i64 - gt as i64;
-            pv.num_vertices += 1;
-        }
-        debug_assert!(
-            in_twice.is_multiple_of(2),
-            "same-shell half-edges must pair up within a node"
-        );
-        debug_assert!(out >= 0, "boundary count cannot go negative");
-        pv.internal_edges += in_twice / 2;
-        pv.boundary_edges = out as u64;
-
-        if with_triangles {
-            // Triangles whose minimum-rank vertex lies in this shell.
-            let mut tri: u64 = 0;
-            for &v in &node.vertices {
-                mark_stamp += 1;
-                for &u in o.neighbors_gt_rank(v) {
-                    marked[u as usize] = mark_stamp;
-                }
-                for &u in o.neighbors_gt_rank(v) {
-                    for &w in o.neighbors_gt_rank(u) {
-                        if marked[w as usize] == mark_stamp {
-                            tri += 1;
-                        }
-                    }
-                }
-            }
-            // Triplets centered in this shell.
-            let mut trip: u64 = 0;
-            for &v in &node.vertices {
-                trip += choose2(o.count_ge(v) as u64);
-            }
-            // New triplets centered in this core's deeper vertices.
-            kshell_nbr.clear();
-            for &v in &node.vertices {
-                for &u in o.neighbors_gt(v) {
-                    if nbr_seen[u as usize] != cast::u32_of(i) {
-                        nbr_seen[u as usize] = cast::u32_of(i);
-                        kshell_nbr.push(u);
-                    }
-                }
-            }
-            for &w in &kshell_nbr {
-                f_gt[w as usize] = f_ge[w as usize];
-            }
-            for &v in &node.vertices {
-                for &u in o.neighbors(v) {
-                    f_ge[u as usize] += 1;
-                }
-            }
-            for &w in &kshell_nbr {
-                let gt_k = f_gt[w as usize] as u64;
-                let eq_k = (f_ge[w as usize] - f_gt[w as usize]) as u64;
-                trip += choose2(eq_k) + gt_k * eq_k;
-            }
-            pv.triangles += tri;
-            pv.triplets += trip;
-        }
+        step.add(&node.vertices, &mut pv);
         primaries[i] = pv;
     }
     primaries
-}
-
-#[inline]
-fn choose2(x: u64) -> u64 {
-    x * x.saturating_sub(1) / 2
 }
 
 /// Builds the full [`SingleCoreProfile`].
@@ -405,7 +327,7 @@ mod tests {
                         }
                     }
                 }
-                let trip: u64 = sg.vertices().map(|v| choose2(sg.degree(v) as u64)).sum();
+                let trip = crate::triangles::count_triplets(sg);
                 assert_eq!(primaries[i].triangles, tri, "{label} node {i}");
                 assert_eq!(primaries[i].triplets, trip, "{label} node {i}");
             }

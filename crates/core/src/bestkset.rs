@@ -8,7 +8,12 @@
 //! * [`core_set_primaries`] — Algorithm 2: `n(S)`, `m(S)`, `b(S)` for every
 //!   k-core set in `O(n)` after the ordering is built.
 //! * [`core_set_primaries_with_triangles`] — Algorithm 3: additionally
-//!   `Δ(S)` and `t(S)` in `O(m^1.5)`.
+//!   `Δ(S)` and `t(S)`, in `O(m)` once the ordering holds its
+//!   [`OrderedGraph::min_rank_triangles`]. Listing those costs `O(m^1.5)`,
+//!   once per ordering, and Algorithm 5 reads the same counts.
+//!
+//! Both add one shell at a time through `ShellStep`, the per-shell body
+//! Algorithm 5 (`bestcore`) runs once per forest node.
 //!
 //! A [`CoreSetProfile`] holds the per-k primaries; scoring any metric over it
 //! costs `O(kmax)`, so one profile answers every metric (and the paper's
@@ -151,116 +156,150 @@ pub struct BestKSet {
 
 /// Algorithm 2: primary values `n`, `m`, `b` of every k-core set in `O(n)`.
 ///
-/// Top-down over shells: visiting `v ∈ H_k` adds
-/// `|N(v,>)| + ½ |N(v,=)|` internal edges (higher-coreness edges become
-/// internal now; same-shell edges are split between their two endpoints) and
-/// `|N(v,<)| − |N(v,>)|` boundary edges (lower-coreness edges appear on the
-/// boundary; the higher-coreness ones stop being boundary).
+/// Top-down over shells: the k-core set `C_k` is `H_k` plus `C_{k+1}`, so
+/// each shell is added to a running sum by the `ShellStep` below.
 pub fn core_set_primaries(o: &OrderedGraph<'_>) -> Vec<PrimaryValues> {
+    sweep_shells(o, false)
+}
+
+/// Algorithm 3: like [`core_set_primaries`] but additionally maintains
+/// triangle and triplet counts, in `O(m)` time and `O(n)` extra space once
+/// the ordering holds its [`OrderedGraph::min_rank_triangles`] (listing
+/// them costs `O(m^1.5)`, once per ordering).
+pub fn core_set_primaries_with_triangles(o: &OrderedGraph<'_>) -> Vec<PrimaryValues> {
+    sweep_shells(o, true)
+}
+
+/// Feeds the shells `k = kmax … 0` to one [`ShellStep`], recording the
+/// running sum after each.
+fn sweep_shells(o: &OrderedGraph<'_>, with_triangles: bool) -> Vec<PrimaryValues> {
     let d = o.decomposition();
     let kmax = d.kmax();
     let mut primaries = vec![PrimaryValues::default(); kmax as usize + 1];
-    let mut in_twice: u64 = 0; // 2 * m(S), stays integral mid-shell
-    let mut out: i64 = 0;
-    let mut num: u64 = 0;
+    let mut step = ShellStep::new(o, with_triangles);
+    let mut pv = PrimaryValues::default();
     for k in (0..=kmax).rev() {
-        for &v in d.shell(k) {
+        step.add(d.shell(k), &mut pv);
+        primaries[k as usize] = pv;
+    }
+    primaries
+}
+
+/// The shell step Algorithms 2/3 and 5 share. [`add`](Self::add) takes a
+/// group of coreness-`k` vertices and adds them to `pv`, the primaries of
+/// what was swept above them (the (k+1)-core set, or a forest node's child
+/// cores):
+///
+/// * `n`, `m`, `b` from the position tags: each `v` brings
+///   `|N(v,>)| + ½ |N(v,=)|` internal edges (higher-coreness edges become
+///   internal; same-shell edges are split between their two endpoints) and
+///   `|N(v,<)| − |N(v,>)|` boundary edges (lower-coreness edges join the
+///   boundary; the higher-coreness ones leave it);
+/// * `Δ` as `Σ t[v]` over [`OrderedGraph::min_rank_triangles`];
+/// * `t` by Algorithm 3's triplet recurrence (lines 13-22).
+///
+/// Groups arrive in descending coreness, and each is a whole shell `H_k` or
+/// the part of `H_k` inside one k-core (a forest node). The latter is sound
+/// because distinct k-cores share no edge, triangle or wedge.
+pub(crate) struct ShellStep<'o, 'a> {
+    o: &'o OrderedGraph<'a>,
+    /// `None` for Algorithm 2, which never lists triangles.
+    triangles: Option<TriangleState<'o>>,
+}
+
+/// The triangle and triplet state a [`ShellStep`] carries across groups.
+struct TriangleState<'o> {
+    /// `t[v]`, the min-rank triangle counts.
+    min_rank: &'o [u64],
+    /// `f_ge[w]` / `f_gt[w]`: neighbors of `w` fed so far / fed before the
+    /// current group (valid for `w` above the current group).
+    f_ge: Vec<u32>,
+    f_gt: Vec<u32>,
+    /// `seen[w] == group`: `w` is already in `above`.
+    seen: Vec<u32>,
+    /// Groups fed so far; stamps `seen`.
+    group: u32,
+    /// The current group's distinct higher-coreness neighbors.
+    above: Vec<VertexId>,
+}
+
+impl<'o, 'a> ShellStep<'o, 'a> {
+    /// A step over `o`; with `with_triangles` it lists the ordering's
+    /// min-rank triangle counts if nothing has yet.
+    pub(crate) fn new(o: &'o OrderedGraph<'a>, with_triangles: bool) -> Self {
+        let n = o.num_vertices();
+        let triangles = with_triangles.then(|| TriangleState {
+            min_rank: o.min_rank_triangles(),
+            f_ge: vec![0; n],
+            f_gt: vec![0; n],
+            seen: vec![0; n],
+            group: 0,
+            above: Vec::new(),
+        });
+        ShellStep { o, triangles }
+    }
+
+    /// Adds `group`'s contribution to `pv`.
+    pub(crate) fn add(&mut self, group: &[VertexId], pv: &mut PrimaryValues) {
+        let o = self.o;
+        let mut in_twice: u64 = 0; // 2 * new internal edges
+        let mut out = pv.boundary_edges as i64;
+        for &v in group {
             let gt = o.count_gt(v) as u64;
             let eq = o.count_eq(v) as u64;
             let lt = o.count_lt(v) as u64;
             in_twice += 2 * gt + eq;
             out += lt as i64 - gt as i64;
-            num += 1;
         }
         debug_assert!(
             in_twice.is_multiple_of(2),
-            "half-edges must pair up per shell"
+            "same-shell half-edges must pair up within a group"
         );
         debug_assert!(out >= 0, "boundary count cannot go negative");
-        let pv = &mut primaries[k as usize];
-        pv.num_vertices = num;
-        pv.internal_edges = in_twice / 2;
+        pv.num_vertices += group.len() as u64;
+        pv.internal_edges += in_twice / 2;
         pv.boundary_edges = out as u64;
+        if let Some(t) = &mut self.triangles {
+            t.add(o, group, pv);
+        }
     }
-    primaries
 }
 
-/// Algorithm 3: like [`core_set_primaries`] but additionally maintains
-/// triangle and triplet counts, in `O(m^1.5)` time and `O(n)` extra space.
-pub fn core_set_primaries_with_triangles(o: &OrderedGraph<'_>) -> Vec<PrimaryValues> {
-    let mut primaries = core_set_primaries(o);
-    let d = o.decomposition();
-    let n = d.num_vertices();
-    let kmax = d.kmax();
-
-    let mut triangle: u64 = 0;
-    let mut triplet: u64 = 0;
-    // f_ge[v] / f_gt[v]: number of u ∈ N(v) with c(u) ≥ k / > k for the
-    // current sweep level k (valid for v in the (k+1)-core set).
-    let mut f_gt = vec![0u32; n];
-    let mut f_ge = vec![0u32; n];
-    // Epoch-stamped scratch: marked[w] == stamp means w ∈ N(v, >r) of the
-    // current v; nbr_stamp[w] == k-stamp means w is already in kshell_nbr.
-    let mut marked = vec![0u32; n];
-    let mut mark_stamp = 0u32;
-    let mut nbr_seen = vec![u32::MAX; n];
-    let mut kshell_nbr: Vec<VertexId> = Vec::new();
-
-    for k in (0..=kmax).rev() {
-        let shell = d.shell(k);
-
-        // --- Triangles with minimum-rank vertex in the k-shell (lines 7-12).
-        // For each v, mark N(v, >r) and intersect each higher-rank neighbor's
-        // N(u, >r) against the marks: every triangle (v, u, w) is found at
-        // its unique rank ordering rank(v) < rank(u) < rank(w).
-        for &v in shell {
-            mark_stamp += 1;
-            for &u in o.neighbors_gt_rank(v) {
-                marked[u as usize] = mark_stamp;
-            }
-            for &u in o.neighbors_gt_rank(v) {
-                for &w in o.neighbors_gt_rank(u) {
-                    if marked[w as usize] == mark_stamp {
-                        triangle += 1;
-                    }
-                }
-            }
+impl TriangleState<'_> {
+    fn add(&mut self, o: &OrderedGraph<'_>, group: &[VertexId], pv: &mut PrimaryValues) {
+        self.group += 1;
+        // Triangles with their minimum-rank vertex in the group (lines 7-12)
+        // and triplets centered in it (line 13).
+        let mut triplets = 0u64;
+        for &v in group {
+            pv.triangles += self.min_rank[v as usize];
+            triplets += choose2(o.count_ge(v) as u64);
         }
-
-        // --- Triplets centered in the k-shell (line 13).
-        for &v in shell {
-            triplet += choose2(o.count_ge(v) as u64);
-        }
-
-        // --- Triplets centered in the (k+1)-core set (lines 14-22).
-        kshell_nbr.clear();
-        for &v in shell {
+        // Triplets centered above the group (lines 14-22).
+        self.above.clear();
+        for &v in group {
             for &u in o.neighbors_gt(v) {
-                if nbr_seen[u as usize] != k {
-                    nbr_seen[u as usize] = k;
-                    kshell_nbr.push(u);
+                if self.seen[u as usize] != self.group {
+                    self.seen[u as usize] = self.group;
+                    self.above.push(u);
                 }
             }
         }
-        for &w in &kshell_nbr {
-            f_gt[w as usize] = f_ge[w as usize];
+        for &w in &self.above {
+            self.f_gt[w as usize] = self.f_ge[w as usize];
         }
-        for &v in shell {
+        for &v in group {
             for &u in o.neighbors(v) {
-                f_ge[u as usize] += 1;
+                self.f_ge[u as usize] += 1;
             }
         }
-        for &w in &kshell_nbr {
-            let gt_k = f_gt[w as usize] as u64;
-            let eq_k = (f_ge[w as usize] - f_gt[w as usize]) as u64;
-            triplet += choose2(eq_k) + gt_k * eq_k;
+        for &w in &self.above {
+            let gt_k = self.f_gt[w as usize] as u64;
+            let eq_k = (self.f_ge[w as usize] - self.f_gt[w as usize]) as u64;
+            triplets += choose2(eq_k) + gt_k * eq_k;
         }
-
-        let pv = &mut primaries[k as usize];
-        pv.triangles = triangle;
-        pv.triplets = triplet;
+        pv.triplets += triplets;
     }
-    primaries
 }
 
 /// Ablation variant (DESIGN.md §6.2): the same incremental primaries
@@ -320,11 +359,7 @@ fn choose2(x: u64) -> u64 {
 /// `with_triangles`, otherwise Algorithm 2.
 pub fn core_set_profile(o: &OrderedGraph<'_>, with_triangles: bool) -> CoreSetProfile {
     let _span = bestk_obs::span!("phase.sweep");
-    let primaries = if with_triangles {
-        core_set_primaries_with_triangles(o)
-    } else {
-        core_set_primaries(o)
-    };
+    let primaries = sweep_shells(o, with_triangles);
     CoreSetProfile {
         kmax: o.decomposition().kmax(),
         primaries,

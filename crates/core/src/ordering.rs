@@ -12,7 +12,12 @@
 //!
 //! After the `O(m)` construction, `|N(v, ·)|` queries answer in `O(1)` and
 //! `N(v, ·)` slices in `O(|N(v, ·)|)` — the primitive every sweep in this
-//! crate is built on.
+//! crate is built on. The one triangle listing both triangle sweeps
+//! (Algorithms 3 and 5) share also lives here:
+//! [`OrderedGraph::min_rank_triangles`] lists every triangle once per
+//! ordering, on first use.
+
+use std::sync::OnceLock;
 
 use bestk_exec::ExecPolicy;
 use bestk_graph::cast;
@@ -36,6 +41,8 @@ pub struct OrderedGraph<'a> {
     same: Vec<u32>,
     plus: Vec<u32>,
     high: Vec<u32>,
+    /// Per-vertex min-rank triangle counts, listed on first use.
+    min_rank_triangles: OnceLock<Vec<u64>>,
 }
 
 impl<'a> OrderedGraph<'a> {
@@ -136,6 +143,7 @@ impl<'a> OrderedGraph<'a> {
             same,
             plus,
             high,
+            min_rank_triangles: OnceLock::new(),
         }
     }
 
@@ -179,6 +187,7 @@ impl<'a> OrderedGraph<'a> {
     /// Dissolves the ordering into its owned `(adj, same, plus, high)`
     /// arrays, releasing the graph/decomposition borrows — how the engine
     /// keeps the arrays resident without holding a self-referential struct.
+    /// The triangle counts, if listed, are dropped.
     #[inline]
     pub fn into_parts(self) -> (Vec<VertexId>, Vec<u32>, Vec<u32>, Vec<u32>) {
         (self.adj, self.same, self.plus, self.high)
@@ -245,6 +254,37 @@ impl<'a> OrderedGraph<'a> {
     pub fn neighbors_gt_rank(&self, v: VertexId) -> &[VertexId] {
         let (s, e) = self.range(v);
         &self.adj[s + self.high[v as usize] as usize..e]
+    }
+
+    /// `t[v]`: the number of triangles whose minimum-rank vertex is `v`
+    /// (Algorithm 3 lines 7-12). Listed on the first call, on one thread, in
+    /// `O(m^1.5)` time and `O(n)` extra space; later calls return the cached
+    /// counts. Each `v` marks `N(v, >r)` and scans every marked neighbor's
+    /// `N(u, >r)` for marks, so a triangle is found once, at its unique rank
+    /// ordering `rank(v) < rank(u) < rank(w)`.
+    pub fn min_rank_triangles(&self) -> &[u64] {
+        self.min_rank_triangles.get_or_init(|| {
+            let n = self.num_vertices();
+            // marked[w] == v: w ∈ N(v, >r) of the current v.
+            let mut marked = vec![VertexId::MAX; n];
+            let mut t = vec![0u64; n];
+            for v in self.vertices() {
+                let above = self.neighbors_gt_rank(v);
+                for &u in above {
+                    marked[u as usize] = v;
+                }
+                let mut count = 0u64;
+                for &u in above {
+                    for &w in self.neighbors_gt_rank(u) {
+                        if marked[w as usize] == v {
+                            count += 1;
+                        }
+                    }
+                }
+                t[v as usize] = count;
+            }
+            t
+        })
     }
 
     /// `|N(v, <)|` in `O(1)`.
@@ -394,6 +434,21 @@ mod tests {
                 assert_eq!(o.high, reference.high, "{threads} threads");
             }
         });
+    }
+
+    #[test]
+    fn triangles_are_listed_only_for_triangle_profiles() {
+        let (g, d) = fig2();
+        let o = OrderedGraph::build(&g, &d);
+        let f = crate::forest::CoreForest::build(&g, &d);
+        // Algorithms 2 and 5 without triangles stay O(n) after the ordering.
+        crate::bestkset::core_set_profile(&o, false);
+        crate::bestcore::single_core_profile(&o, &f, false);
+        assert!(o.min_rank_triangles.get().is_none());
+        crate::bestkset::core_set_profile(&o, true);
+        assert!(o.min_rank_triangles.get().is_some());
+        // Example 5: the whole Figure 2 graph has 10 triangles.
+        assert_eq!(o.min_rank_triangles().iter().sum::<u64>(), 10);
     }
 
     #[test]

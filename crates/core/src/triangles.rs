@@ -1,15 +1,14 @@
-//! Triangle and triplet counting primitives.
+//! Whole-graph triangle and triplet counters.
 //!
-//! The optimal sweeps embed their own incremental counting (Algorithm 3);
-//! this module provides whole-graph counters used by the baselines, tests,
-//! and the ablation benches. All counters are `O(m^1.5)` \[Latapy 2008,
-//! paper reference 35\].
+//! The optimal sweeps (Algorithms 3 and 5) read the ordering's per-vertex
+//! [`OrderedGraph::min_rank_triangles`](crate::OrderedGraph::min_rank_triangles),
+//! listed once per ordering in `O(m^1.5)`. The forward counter here needs
+//! no core decomposition and shares no code with that listing, which makes
+//! it the independent oracle for the baselines, truss, the case study and
+//! the tests. It is `O(m^1.5)` too \[Latapy 2008, paper reference 35\].
 
-use bestk_exec::{prefix_sum, ExecPolicy};
 use bestk_graph::cast;
 use bestk_graph::{GraphView, VertexId};
-
-use crate::ordering::OrderedGraph;
 
 /// Counts the triangles of `g` with the forward algorithm over a
 /// degree-descending total order: each triangle is found exactly once at its
@@ -51,74 +50,6 @@ pub fn count_triangles<G: GraphView>(g: &G) -> u64 {
     triangles
 }
 
-/// [`count_triangles`] under an execution policy: the degree-descending
-/// outer loop is split into edge-balanced chunks on the shared runtime,
-/// each worker carrying its own marker array. The count is exactly that of
-/// the sequential version at every thread count (each outer vertex's
-/// contribution is independent, and the per-chunk partials are summed in
-/// chunk order).
-pub fn count_triangles_with<G: GraphView + Sync>(g: &G, policy: &ExecPolicy) -> u64 {
-    let n = g.num_vertices();
-    if n == 0 {
-        return 0;
-    }
-    if !policy.is_parallel() {
-        return count_triangles(g);
-    }
-    let mut order: Vec<VertexId> = (0..cast::vertex_id(n)).collect();
-    order.sort_unstable_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v));
-    let mut pos = vec![0u32; n];
-    for (i, &v) in order.iter().enumerate() {
-        pos[v as usize] = cast::u32_of(i);
-    }
-    // Edge-balanced chunking: the cost of outer vertex `order[i]` is
-    // degree-shaped, so chunk by cumulative degree, not by vertex count.
-    let prefix = prefix_sum(order.iter().map(|&v| g.degree(v)));
-    let plan = policy.plan_weighted(&prefix);
-    let order = &order;
-    let pos = &pos;
-    policy.map_reduce(
-        &plan,
-        || (vec![0u32; n], 0u32),
-        |(marked, stamp), _, range| {
-            let mut local = 0u64;
-            for &v in &order[range] {
-                *stamp += 1;
-                let pv = pos[v as usize];
-                for u in g.neighbors(v) {
-                    if pos[u as usize] > pv {
-                        marked[u as usize] = *stamp;
-                    }
-                }
-                for u in g.neighbors(v) {
-                    if pos[u as usize] > pv {
-                        for w in g.neighbors(u) {
-                            if pos[w as usize] > pos[u as usize] && marked[w as usize] == *stamp {
-                                local += 1;
-                            }
-                        }
-                    }
-                }
-            }
-            local
-        },
-        0u64,
-        |acc, part| acc + part,
-    )
-}
-
-/// Parallel version of [`count_triangles`] with an explicit thread count —
-/// a thin wrapper over [`count_triangles_with`] kept for callers that think
-/// in threads rather than policies. Small graphs run sequentially (worker
-/// spawning would dominate).
-pub fn count_triangles_parallel<G: GraphView + Sync>(g: &G, threads: usize) -> u64 {
-    if g.num_vertices() < 1024 {
-        return count_triangles(g);
-    }
-    let policy = ExecPolicy::with_threads(threads.max(1)).unwrap_or(ExecPolicy::Sequential);
-    count_triangles_with(g, &policy)
-}
-
 /// Counts the triplets of `g`: `Σ_v C(d(v), 2)`. `O(n)`.
 pub fn count_triplets<G: GraphView>(g: &G) -> u64 {
     g.vertices()
@@ -129,73 +60,11 @@ pub fn count_triplets<G: GraphView>(g: &G) -> u64 {
         .sum()
 }
 
-/// Counts triangles using the rank order and `N(·, >r)` slices with a marker
-/// array — the strategy Algorithm 3 uses internally, exposed for testing and
-/// benchmarking against [`count_triangles`].
-pub fn count_triangles_ordered(o: &OrderedGraph<'_>) -> u64 {
-    let n = o.num_vertices();
-    let mut marked = vec![0u32; n];
-    let mut stamp = 0u32;
-    let mut triangles = 0u64;
-    for v in o.vertices() {
-        stamp += 1;
-        for &u in o.neighbors_gt_rank(v) {
-            marked[u as usize] = stamp;
-        }
-        for &u in o.neighbors_gt_rank(v) {
-            for &w in o.neighbors_gt_rank(u) {
-                if marked[w as usize] == stamp {
-                    triangles += 1;
-                }
-            }
-        }
-    }
-    triangles
-}
-
-/// The paper's literal strategy (Algorithm 3 lines 8-12): for each rank-
-/// increasing edge `(v, u)`, intersect the two `N(·, >r)` lists, scanning
-/// the shorter one and merge-probing the other (both are rank-sorted).
-/// Exposed as an ablation comparator for [`count_triangles_ordered`].
-pub fn count_triangles_merge(o: &OrderedGraph<'_>) -> u64 {
-    let mut triangles = 0u64;
-    for v in o.vertices() {
-        for &u in o.neighbors_gt_rank(v) {
-            let (a, b) = {
-                let (x, y) = if o.degree(u) > o.degree(v) {
-                    (v, u)
-                } else {
-                    (u, v)
-                };
-                (o.neighbors_gt_rank(x), o.neighbors_gt_rank(y))
-            };
-            triangles += sorted_intersection_size(o, a, b);
-        }
-    }
-    triangles
-}
-
-/// Size of the intersection of two rank-sorted neighbor slices.
-fn sorted_intersection_size(o: &OrderedGraph<'_>, a: &[VertexId], b: &[VertexId]) -> u64 {
-    let (mut i, mut j, mut count) = (0usize, 0usize, 0u64);
-    while i < a.len() && j < b.len() {
-        if a[i] == b[j] {
-            count += 1;
-            i += 1;
-            j += 1;
-        } else if o.rank_gt(b[j], a[i]) {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-    count
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::decomposition::core_decomposition;
+    use crate::ordering::OrderedGraph;
     use bestk_graph::generators::{self, regular};
     use bestk_graph::CsrGraph;
 
@@ -230,20 +99,19 @@ mod tests {
         assert_eq!(count_triplets(&generators::paper_figure2()), 45);
     }
 
+    /// `Σ t[v]` over the ordering's min-rank triangle counts.
+    fn min_rank_total(g: &CsrGraph) -> u64 {
+        let d = core_decomposition(g);
+        OrderedGraph::build(g, &d).min_rank_triangles().iter().sum()
+    }
+
     #[test]
-    fn all_three_counters_agree_with_brute_force() {
+    fn forward_and_min_rank_counts_agree_with_brute_force() {
         for seed in 0..5 {
             let g = generators::erdos_renyi_gnm(70, 320, seed);
             let expected = brute_force(&g);
             assert_eq!(count_triangles(&g), expected, "forward, seed {seed}");
-            let d = core_decomposition(&g);
-            let o = OrderedGraph::build(&g, &d);
-            assert_eq!(
-                count_triangles_ordered(&o),
-                expected,
-                "ordered, seed {seed}"
-            );
-            assert_eq!(count_triangles_merge(&o), expected, "merge, seed {seed}");
+            assert_eq!(min_rank_total(&g), expected, "min-rank, seed {seed}");
         }
     }
 
@@ -251,32 +119,23 @@ mod tests {
     fn counters_agree_on_dense_graphs() {
         let g = generators::overlapping_cliques(150, 25, (4, 10), 3);
         let expected = brute_force(&g);
-        let d = core_decomposition(&g);
-        let o = OrderedGraph::build(&g, &d);
         assert_eq!(count_triangles(&g), expected);
-        assert_eq!(count_triangles_ordered(&o), expected);
-        assert_eq!(count_triangles_merge(&o), expected);
+        assert_eq!(min_rank_total(&g), expected);
     }
 
     #[test]
-    fn policy_counter_matches_sequential_on_generated_graphs() {
+    fn counters_agree_on_generated_graphs() {
+        // The name seeds the cases; keep it to keep the graphs.
         bestk_graph::testkit::check("triangles_policy_equals_sequential", 24, |gen| {
             let g = gen.graph(60, 300);
-            let expected = count_triangles(&g);
-            assert_eq!(count_triangles_with(&g, &ExecPolicy::Sequential), expected);
-            for threads in [1, 2, 4, 7] {
-                let policy = ExecPolicy::with_threads(threads).unwrap();
-                assert_eq!(
-                    count_triangles_with(&g, &policy),
-                    expected,
-                    "{threads} threads"
-                );
-            }
+            let expected = brute_force(&g);
+            assert_eq!(count_triangles(&g), expected);
+            assert_eq!(min_rank_total(&g), expected);
         });
     }
 
     #[test]
-    fn parallel_counter_matches_sequential() {
+    fn counters_agree_on_larger_and_degenerate_graphs() {
         for (g, label) in [
             (generators::chung_lu_power_law(3000, 10.0, 2.4, 7), "cl"),
             (
@@ -285,16 +144,11 @@ mod tests {
             ),
             (regular::complete(40), "k40"),
             (CsrGraph::empty(10), "empty"),
+            (CsrGraph::empty(0), "null"),
         ] {
-            let expected = count_triangles(&g);
-            for threads in [1, 2, 4, 7] {
-                assert_eq!(
-                    count_triangles_parallel(&g, threads),
-                    expected,
-                    "{label} with {threads} threads"
-                );
-            }
+            let expected = brute_force(&g);
+            assert_eq!(count_triangles(&g), expected, "forward, {label}");
+            assert_eq!(min_rank_total(&g), expected, "min-rank, {label}");
         }
-        assert_eq!(count_triangles_parallel(&CsrGraph::empty(0), 4), 0);
     }
 }

@@ -5,6 +5,7 @@
 use bestk::core::baseline::{baseline_core_set_primaries, baseline_single_core_primaries};
 use bestk::core::{
     analyze, core_decomposition, CommunityMetric, CoreForest, GraphContext, Metric, OrderedGraph,
+    PrimaryValues,
 };
 use bestk::graph::{generators, CsrGraph};
 
@@ -98,10 +99,9 @@ fn triangle_counters_agree_across_modules() {
         let d = core_decomposition(&g);
         let o = OrderedGraph::build(&g, &d);
         let forward = bestk::core::triangles::count_triangles(&g);
-        let ordered = bestk::core::triangles::count_triangles_ordered(&o);
-        let merge = bestk::core::triangles::count_triangles_merge(&o);
-        assert_eq!(forward, ordered, "{name}");
-        assert_eq!(forward, merge, "{name}");
+        let min_rank: u64 = o.min_rank_triangles().iter().sum();
+        assert_eq!(forward, min_rank, "{name}");
+        assert_eq!(forward, brute_force_triangles(&g), "{name}");
         // k=0 entry of the set profile is the whole graph.
         let a = analyze(&g);
         assert_eq!(a.set_profile().primaries[0].triangles, forward, "{name}");
@@ -113,41 +113,45 @@ fn triangle_counters_agree_across_modules() {
     }
 }
 
+/// Each triangle once, at its smallest-id edge `(u, v)`, `u < v < w`.
+fn brute_force_triangles(g: &CsrGraph) -> u64 {
+    let mut t = 0u64;
+    for (u, v) in g.edges() {
+        for &w in g.neighbors(v) {
+            if w > v && g.has_edge(u, w) {
+                t += 1;
+            }
+        }
+    }
+    t
+}
+
 #[test]
 fn forest_cores_tile_the_core_sets() {
-    // Σ over nodes at each level slice == the k-core set primaries.
+    // Σ over the entry nodes at each level == the k-core set primaries:
+    // the identity that lets Algorithms 3 and 5 share one shell step.
     for (name, g) in families() {
         let d = core_decomposition(&g);
         let o = OrderedGraph::build(&g, &d);
         let f = CoreForest::build(&g, &d);
-        let per_core = bestk::core::bestcore::single_core_primaries(&o, &f, false);
-        let per_set = bestk::core::bestkset::core_set_primaries(&o);
+        let per_core = bestk::core::bestcore::single_core_primaries(&o, &f, true);
+        let per_set = bestk::core::bestkset::core_set_primaries_with_triangles(&o);
         for k in 0..=d.kmax() {
-            // Entry nodes at level k: coreness >= k, parent below k.
-            let mut n_sum = 0u64;
-            let mut m_sum = 0u64;
+            // Entry nodes at level k: coreness >= k, parent below k. A core
+            // with no coreness-k shell enters at a level ABOVE k, and the
+            // union of the entry nodes' vertex sets is still exactly V(C_k).
+            let mut sum = PrimaryValues::default();
             for (i, node) in f.nodes().iter().enumerate() {
                 let parent_below = node.parent.map(|p| f.node(p).coreness < k).unwrap_or(true);
                 if node.coreness >= k && parent_below {
-                    n_sum += per_core[i].num_vertices;
-                    m_sum += per_core[i].internal_edges;
+                    sum.add_assign(&per_core[i]);
                 }
             }
-            // The k-core set C_k is the disjoint union of its k-cores...
-            // except that forest entry nodes at level k may sit at a level
-            // ABOVE k when a core has no coreness-k shell; the union of
-            // their vertex sets is still exactly V(C_k).
-            assert_eq!(
-                n_sum, per_set[k as usize].num_vertices,
-                "{name} k={k} vertices"
-            );
-            // Edge totals differ: per-core edges exclude edges between
-            // sibling cores, but distinct k-cores share no edges, so the
-            // sums must match exactly.
-            assert_eq!(
-                m_sum, per_set[k as usize].internal_edges,
-                "{name} k={k} edges"
-            );
+            // C_k is the disjoint union of its k-cores, and distinct k-cores
+            // share no edge, triangle or wedge, so every primary sums
+            // exactly: n, m, b (a boundary edge leaves for coreness < k),
+            // Δ and t.
+            assert_eq!(sum, per_set[k as usize], "{name} k={k}");
         }
     }
 }

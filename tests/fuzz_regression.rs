@@ -11,8 +11,11 @@
 
 use std::path::{Path, PathBuf};
 
+use bestk_engine::Dataset;
+use bestk_exec::ExecPolicy;
 use bestk_faults::{sites, Fault, FaultPlan, SiteSpec};
 use bestk_fuzz::{base_inputs, check_bytes, Check, Surface, ALL_SURFACES, DEFAULT_BUDGET_BYTES};
+use bestk_graph::generators;
 
 fn corpus_dir(surface: Surface) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -109,6 +112,34 @@ fn generated_sweeps_stay_clean() {
         );
         assert!(report.valid > 0, "surface {} never parsed", surface.name());
     }
+}
+
+/// The committed Figure 2 snapshot is byte for byte what a sequential
+/// build of that dataset writes today. The equivalence suites compare
+/// snapshot bytes across thread counts within one build; this pins them
+/// against a file, so an unintended change to any artifact the snapshot
+/// carries fails here.
+#[test]
+fn figure2_snapshot_matches_the_committed_bytes() {
+    let mut ds = Dataset::from_graph(generators::paper_figure2());
+    ds.ensure_built(&ExecPolicy::Sequential);
+    let built = bestk_engine::snapv2::to_bytes(&ds).expect("encode snapshot");
+    let path = corpus_dir(Surface::Snapshot).join("figure2-v2.bestk");
+    let committed = std::fs::read(&path).expect("read committed snapshot");
+    let first_diff = built
+        .iter()
+        .zip(&committed)
+        .position(|(a, b)| a != b)
+        .unwrap_or(built.len().min(committed.len()));
+    assert!(
+        built == committed,
+        "{} no longer matches a fresh build ({} vs {} bytes, first difference at \
+         byte {first_diff}); if the format change is deliberate, run \
+         `cargo test --test fuzz_regression regenerate -- --ignored` and commit the result",
+        path.display(),
+        committed.len(),
+        built.len()
+    );
 }
 
 /// Materializes the machine-generated corpus seeds from the *current*
