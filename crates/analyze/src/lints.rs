@@ -231,7 +231,7 @@ pub fn check_model(path: &str, role: FileRole, m: &FileModel<'_>) -> Vec<Diagnos
     // read stays swappable for the deterministic manual clock.
     let instant_exempt = path.starts_with("crates/obs/");
     // `crates/graph` owns the CSR representation: everywhere else observes
-    // graphs through the `GraphView` trait so storage backends (succinct,
+    // graphs through the `GraphView` trait so the two stores (the CSR and
     // mapped snapshots) stay swappable without touching consumers.
     let graph_exempt = path.starts_with("crates/graph/");
     // `crates/delta` defines the raw mutation primitives and

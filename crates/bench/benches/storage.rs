@@ -1,4 +1,4 @@
-//! Micro-bench: graph storage backends and snapshot cold starts.
+//! Micro-bench: the two graph stores and snapshot cold starts.
 //!
 //! Measurements on an Erdős–Rényi stand-in (see DESIGN.md §14 "Storage
 //! backends"):
@@ -6,15 +6,8 @@
 //! * `storage/cold_open_v2`   — zero-copy mmap open of a `.bestk` snapshot
 //!   (header + profile checksums only) plus one answer, the near-instant
 //!   cold-start path;
-//! * `storage/scan_<backend>` — full neighbor-scan throughput per backend
-//!   (csr / succinct / mapped), the price of each representation's reads.
-//!
-//! Gauges recorded into the JSON report alongside the timings:
-//!
-//! * `storage/compression_permille_succinct` — canonical CSR bytes over
-//!   succinct bytes, ×1000 (2340 = 2.34× smaller);
-//! * `storage/compression_permille_mapped`   — CSR bytes over the mapped
-//!   graph section, ×1000.
+//! * `storage/scan_<store>`   — full neighbor-scan throughput per store
+//!   (csr / mapped), the price of each representation's reads.
 //!
 //! With `BESTK_BENCH_JSON` set, all records land in the JSON report.
 
@@ -22,7 +15,7 @@ use bestk_bench::Bench;
 use bestk_core::Metric;
 use bestk_engine::{open_snapshot_v2, save_snapshot_v2_path, Dataset, GraphStore, Query};
 use bestk_exec::ExecPolicy;
-use bestk_graph::{generators, GraphView, SuccinctCsr};
+use bestk_graph::{generators, GraphView};
 
 /// Sums every adjacency entry through the `GraphView` seam — the
 /// representative read pattern (the peel and the metric sweeps are all
@@ -67,25 +60,16 @@ fn main() {
         ds.answer(&query).expect("v2 answer")
     });
 
-    // Neighbor-scan throughput per backend, all through GraphView.
-    let csr = GraphStore::from(g.clone());
-    let succinct = GraphStore::from(SuccinctCsr::from_csr(&g));
+    // Neighbor-scan throughput per store, both through GraphView.
+    let csr = GraphStore::from(g);
     let mapped_ds = open_snapshot_v2(&v2_path).expect("v2 open");
     let mapped = mapped_ds.graph();
-    let want = scan(&csr);
-    assert_eq!(scan(&succinct), want, "succinct scan diverged");
-    assert_eq!(scan(mapped), want, "mapped scan diverged");
+    assert_eq!(scan(mapped), scan(&csr), "mapped scan diverged");
     b.run_elements("storage/scan_csr", entries, || scan(&csr));
-    b.run_elements("storage/scan_succinct", entries, || scan(&succinct));
     b.run_elements("storage/scan_mapped", entries, || scan(mapped));
-
-    let ratio = |s: &GraphStore| (s.compression_ratio() * 1000.0).round() as u128;
-    b.gauge("storage/compression_permille_succinct", ratio(&succinct));
-    b.gauge("storage/compression_permille_mapped", ratio(mapped));
     println!(
-        "# resident heap bytes: csr={} succinct={} mapped={}",
+        "# resident heap bytes: csr={} mapped={}",
         csr.resident_heap_bytes(),
-        succinct.resident_heap_bytes(),
         mapped.resident_heap_bytes()
     );
     drop(mapped_ds);

@@ -137,8 +137,8 @@ impl Bench {
         self.run_inner(name, threads, None, &mut f)
     }
 
-    /// Records a dimensionless measurement (a compression permille, a
-    /// speedup permille, a byte count) into the JSON report alongside the
+    /// Records a dimensionless measurement (a scaling permille, a speedup
+    /// permille, a byte count) into the JSON report alongside the
     /// timing records: `iters` is 0 to mark the record as a gauge, and the
     /// value is carried in both `min_ns` and `mean_ns`.
     pub fn gauge(&self, name: &str, value: u128) {
@@ -306,7 +306,7 @@ mod tests {
     #[test]
     fn gauge_records_value_with_zero_iters() {
         let b = Bench::with_settings(Some("ratio".into()), 2);
-        b.gauge("compression_ratio_permille", 2340);
+        b.gauge("scaling_ratio_permille", 2340);
         b.gauge("filtered_out", 1);
         let records = b.records();
         assert_eq!(records.len(), 1);

@@ -7,8 +7,7 @@ use bestk_core::{
     analyze as analyze_graph, analyze_basic, analyze_basic_with, analyze_with, CommunityMetric,
     Metric,
 };
-use bestk_engine::GraphStore;
-use bestk_graph::{generators, io, stats, SuccinctCsr};
+use bestk_graph::{generators, io, stats};
 
 use crate::args::ParsedArgs;
 use crate::{load_graph, metric_by_abbrev, CliError};
@@ -27,30 +26,16 @@ fn verify_failed(e: bestk_graph::verify::VerifyError) -> CliError {
     CliError::Failed(format!("verification FAILED: {e}"))
 }
 
-/// Resolves `--backend` into a [`GraphStore`] holding `g`. The default is
-/// the canonical CSR; `succinct` re-encodes into the compressed backend,
-/// exercising the same code path the serving engine uses.
-fn backend_store(args: &ParsedArgs, g: bestk_graph::CsrGraph) -> Result<GraphStore, CliError> {
-    match args.opt("backend").unwrap_or("csr") {
-        "csr" => Ok(GraphStore::from(g)),
-        "succinct" => Ok(GraphStore::from(SuccinctCsr::from_csr(&g))),
-        other => Err(CliError::Usage(format!(
-            "--backend expects csr or succinct, got {other:?}"
-        ))),
-    }
-}
-
-/// `bestk stats <graph> [--backend csr|succinct] [--verify] [--threads N]`.
+/// `bestk stats <graph> [--verify] [--threads N]`.
 pub fn stats(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
-    args.reject_unknown(&["verify", "threads", "backend"])?;
+    args.reject_unknown(&["verify", "threads"])?;
     let policy = args.exec_policy()?;
-    let g = backend_store(args, load_graph(args.positional(0, "graph")?)?)?;
+    let g = load_graph(args.positional(0, "graph")?)?;
     let s = stats::graph_stats(&g);
     let d = bestk_core::core_decomposition_with(&g, &policy);
     if args.flag("verify") {
-        let csr = g.as_csr()?;
-        bestk_graph::verify::verify_graph(&csr).map_err(verify_failed)?;
-        bestk_core::verify::verify_decomposition(&csr, &d).map_err(verify_failed)?;
+        bestk_graph::verify::verify_graph(&g).map_err(verify_failed)?;
+        bestk_core::verify::verify_decomposition(&g, &d).map_err(verify_failed)?;
     }
     writeln!(out, "vertices        {}", s.num_vertices)?;
     writeln!(out, "edges           {}", s.num_edges)?;
@@ -66,15 +51,6 @@ pub fn stats(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     writeln!(out, "top core size   {}", cs.top_core_size)?;
     let cc = bestk_graph::connectivity::connected_components(&g);
     writeln!(out, "components      {}", cc.count)?;
-    if args.opt("backend").is_some() {
-        writeln!(
-            out,
-            "backend         {} ({} heap bytes, {:.2}x vs csr)",
-            g.backend_name(),
-            g.resident_heap_bytes(),
-            g.compression_ratio()
-        )?;
-    }
     if args.flag("verify") {
         writeln!(
             out,
@@ -490,7 +466,8 @@ pub fn snapshot(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> 
 }
 
 /// `bestk query <snapshot> <query>... [--threads N] [--budget-mb N]`: load
-/// a snapshot and answer each query (one shell argument per query, e.g.
+/// a snapshot, replaying its write-ahead log (`<snapshot>.wal`) read-only
+/// if one exists, and answer each query (one shell argument per query, e.g.
 /// `"bestkset ad"`), printing one `ok`/`err` reply line per query — the
 /// same lines the serving loop would emit.
 pub fn query(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
@@ -1183,6 +1160,9 @@ mod tests {
         assert!(err.contains("--verify"), "{err}");
         let err = run(&["clique", &path, "--verify"]).unwrap_err().to_string();
         assert!(err.contains("takes no options"), "{err}");
+        // `stats` reads the one loaded graph; there is no storage option.
+        let err = run(&["stats", &path, "--backend", "csr"]).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err}");
     }
 
     #[test]
@@ -1354,28 +1334,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_backend_flag_is_observation_invariant() {
-        let path = write_figure2();
-        let csr = run(&["stats", &path, "--backend", "csr"]).unwrap();
-        let succinct = run(&["stats", &path, "--backend=succinct"]).unwrap();
-        // Identical stats, different backend trailer.
-        let strip = |s: &str| {
-            s.lines()
-                .filter(|l| !l.starts_with("backend"))
-                .map(|l| format!("{l}\n"))
-                .collect::<String>()
-        };
-        assert_eq!(strip(&csr), strip(&succinct));
-        assert_eq!(strip(&csr), run(&["stats", &path]).unwrap());
-        assert!(csr.contains("backend         csr"), "{csr}");
-        assert!(succinct.contains("backend         succinct"), "{succinct}");
-        assert!(run(&["stats", &path, "--backend", "mips"]).is_err());
-        // --verify re-checks against the canonical CSR on every backend.
-        let out = run(&["stats", &path, "--backend=succinct", "--verify"]).unwrap();
-        assert!(out.contains("invariants hold"), "{out}");
-    }
-
-    #[test]
     fn snapshot_round_trips_through_query() {
         let graph = write_figure2();
         let snap = fixture_path("fig2-roundtrip.bestk");
@@ -1406,6 +1364,44 @@ mod tests {
             err.to_string().contains("checksum mismatch in graph"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn query_replays_the_write_ahead_log() {
+        let graph = write_figure2();
+        let snap = fixture_path("query-wal.bestk");
+        let wal = format!("{snap}.wal");
+        let _ = std::fs::remove_file(&wal);
+        run(&["snapshot", &graph, &snap]).unwrap();
+        // The read-only query creates no log of its own.
+        let out = run(&["query", &snap, "stats"]).unwrap();
+        assert!(out.starts_with("ok\tstats\tn=12\tm=19\t"), "{out}");
+        assert!(!std::path::Path::new(&wal).exists());
+        // One absent edge committed to the log, then replayed by the query.
+        run(&["mutate", &snap, "add:0:11"]).unwrap();
+        let out = run(&["query", &snap, "stats"]).unwrap();
+        assert!(out.starts_with("ok\tstats\tn=12\tm=20\t"), "{out}");
+        // A live server stages a second edge. The query replays only the
+        // committed prefix and writes no byte of the log, so the server's
+        // later commit lands where it belongs and replays.
+        let seq = bestk_exec::ExecPolicy::Sequential;
+        let server = bestk_engine::SharedEngine::with_budget(None);
+        let retry = bestk_engine::RetryPolicy::none();
+        server
+            .load_snapshot_with_fallback("g", &snap, None, &retry, &seq)
+            .unwrap();
+        server
+            .stage_edge("g", generators::EdgeOp::Insert(1, 11))
+            .unwrap();
+        let staged = std::fs::read(&wal).unwrap();
+        let out = run(&["query", &snap, "stats"]).unwrap();
+        assert!(out.starts_with("ok\tstats\tn=12\tm=20\t"), "{out}");
+        assert_eq!(std::fs::read(&wal).unwrap(), staged);
+        assert!(!std::path::Path::new(&format!("{wal}.quarantine")).exists());
+        server.commit_edges("g", &seq).unwrap();
+        drop(server);
+        let out = run(&["query", &snap, "stats"]).unwrap();
+        assert!(out.starts_with("ok\tstats\tn=12\tm=21\t"), "{out}");
     }
 
     #[test]

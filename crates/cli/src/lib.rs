@@ -91,7 +91,7 @@ impl From<bestk_engine::EngineError> for CliError {
 
 const USAGE: &str = "usage: bestk <command> [args]
 commands:
-  stats    <graph> [--backend csr|succinct]          dataset statistics
+  stats    <graph>                                   dataset statistics
   analyze  <graph> [--metric M] [--extended]         best k per metric
   profile  <graph> --metric M [--single]             per-k scores (CSV)
   densest  <graph> [--method opt-d|core-app|peel|exact]
@@ -105,6 +105,7 @@ commands:
                                                      (opens zero-copy)
   query    <snapshot> <query>... [--threads N] [--budget-mb N]
                                                      one-shot snapshot queries
+                                                     (replays <snapshot>.wal)
   mutate   <snapshot> [add:u:v|del:u:v ...] [--stream mixed|delete-heavy|focused
            --count N --seed S] [--commit-every N] [--threads N]
                                                      stage + commit edge mutations

@@ -2,8 +2,8 @@
 //!
 //! Every storage backend in the workspace is immutable by design; the
 //! overlay is the *only* mutable graph form. It validates and buffers
-//! [`EdgeOp`]s on top of any [`GraphView`] (canonical CSR, succinct CSR,
-//! or a mapped snapshot view), observes as a [`GraphView`] itself with the
+//! [`EdgeOp`]s on top of any [`GraphView`] (canonical CSR or a mapped
+//! snapshot view), observes as a [`GraphView`] itself with the
 //! same sorted-by-id neighbor order, and materializes back into a
 //! canonical [`CsrGraph`] at commit time.
 //!

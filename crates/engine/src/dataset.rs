@@ -132,14 +132,6 @@ impl Dataset {
         }
     }
 
-    /// Wraps any storage backend with no artifacts yet.
-    pub fn from_store(store: GraphStore) -> Dataset {
-        Dataset {
-            store,
-            index: Index::None,
-        }
-    }
-
     /// Assembles a dataset from a graph and artifacts already built for
     /// it (e.g. stage by stage, outside [`Artifacts::build`]).
     pub fn from_built(graph: CsrGraph, artifacts: Artifacts) -> Dataset {

@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use bestk_exec::ExecPolicy;
 use bestk_faults::sites;
-use bestk_graph::{CsrGraph, GraphView, SuccinctCsr};
+use bestk_graph::{CsrGraph, GraphView};
 
 use crate::dataset::{Artifacts, Dataset};
 use crate::error::EngineError;
@@ -29,7 +29,8 @@ use crate::mutate::DeltaSlot;
 use crate::query::{Answer, Query};
 use crate::snapshot;
 
-/// How [`Engine::load_snapshot_with_fallback`] obtained the dataset.
+/// How [`SharedEngine::load_snapshot_with_fallback`](crate::SharedEngine::load_snapshot_with_fallback)
+/// obtained the dataset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoadOutcome {
     /// The snapshot loaded cleanly (transient-I/O retries included).
@@ -140,62 +141,22 @@ impl Engine {
         self.register(name, Dataset::from_graph(graph));
     }
 
-    /// Registers a graph compressed into the succinct backend: identical
-    /// answers, a fraction of the resident bytes, slower neighbor scans.
-    pub fn insert_graph_succinct(&mut self, name: &str, graph: &CsrGraph) {
-        let store = crate::store::GraphStore::from(SuccinctCsr::from_csr(graph));
-        self.register(name, Dataset::from_store(store));
-    }
-
     /// Loads a `.bestk` snapshot from `path` and registers it under `name`.
     /// The strict load: with no source to rebuild from, the graph section
     /// is checked too, so a corrupt snapshot is a typed error rather than
-    /// wrong answers. The snapshot arrives fully built, so no build is
+    /// wrong answers. Like every load, it replays the committed ops of the
+    /// sibling write-ahead log (`<path>.wal`) on top of the snapshot, but
+    /// read-only (see `crate::mutate`): the log is never cut, quarantined
+    /// or created, and a log that is unreadable or no longer applies is a
+    /// typed error. A replayed dataset builds on its first query; with
+    /// nothing to replay the snapshot arrives fully built, so no build is
     /// charged.
     pub fn load_snapshot(&mut self, name: &str, path: &str) -> Result<(), EngineError> {
         let dataset = crate::open_snapshot_v2(path)?;
         snapshot::check_graph(&dataset)?;
+        let dataset = crate::mutate::replay_wal(dataset, &format!("{path}.wal"))?;
         self.register(name, dataset);
         Ok(())
-    }
-
-    /// Resilient snapshot load — the degradation ladder:
-    ///
-    /// 1. open `path`, retrying *transient* I/O failures under `retry`;
-    /// 2. if the bytes are corrupt (bad magic, version skew, checksum
-    ///    mismatch, truncation, …) and a `source` graph file is given,
-    ///    rename the bad file to `<path>.quarantine` (preserving it for
-    ///    forensics), rebuild the full index from `source`, and serve
-    ///    that — startup degrades to a slow build instead of failing.
-    ///    With a `source`, the graph section's deferred checksum is paid
-    ///    too; without one the open stays zero-copy;
-    /// 3. otherwise surface the typed error.
-    pub fn load_snapshot_with_fallback(
-        &mut self,
-        name: &str,
-        path: &str,
-        source: Option<&str>,
-        retry: &snapshot::RetryPolicy,
-        policy: &ExecPolicy,
-    ) -> Result<LoadOutcome, EngineError> {
-        // All disk I/O and any rebuild live in the free function, so the
-        // locked registry (`SharedEngine`) can run them outside its lock
-        // and reuse only the bookkeeping step below.
-        let (dataset, outcome) = snapshot::load_or_rebuild(path, source, retry, policy)?;
-        self.install_loaded(name, dataset, outcome);
-        Ok(outcome)
-    }
-
-    /// Registers a dataset produced by [`load_or_rebuild`](crate::load_or_rebuild),
-    /// charging a build when the snapshot had to be rebuilt from source.
-    /// Pure bookkeeping — no I/O, safe to call with the registry locked.
-    pub fn install_loaded(&mut self, name: &str, dataset: Dataset, outcome: LoadOutcome) {
-        if outcome == LoadOutcome::Rebuilt {
-            self.counters.builds += 1;
-            bestk_obs::counter("engine.builds").inc();
-            bestk_obs::counter("engine.rebuilds").inc();
-        }
-        self.register(name, dataset);
     }
 
     fn register(&mut self, name: &str, dataset: Dataset) {
@@ -215,8 +176,11 @@ impl Engine {
         self.record_slot_gauges(name);
     }
 
-    /// Registers a loaded snapshot together with its adopted delta state
-    /// (write-ahead log handle, replay bookkeeping). Pure bookkeeping.
+    /// Registers a dataset produced by [`load_or_rebuild`](crate::load_or_rebuild)
+    /// together with its adopted delta state (write-ahead log handle,
+    /// replay bookkeeping), charging a build when the snapshot had to be
+    /// rebuilt from source. Pure bookkeeping — no I/O, safe to call with
+    /// the registry locked.
     pub fn install_loaded_with_delta(
         &mut self,
         name: &str,
@@ -224,7 +188,12 @@ impl Engine {
         outcome: LoadOutcome,
         delta: DeltaSlot,
     ) {
-        self.install_loaded(name, dataset, outcome);
+        if outcome == LoadOutcome::Rebuilt {
+            self.counters.builds += 1;
+            bestk_obs::counter("engine.builds").inc();
+            bestk_obs::counter("engine.rebuilds").inc();
+        }
+        self.register(name, dataset);
         if let Some(slot) = self.slots.get_mut(name) {
             slot.delta = Some(delta);
         }
@@ -298,23 +267,16 @@ impl Engine {
         bestk_obs::gauge("engine.datasets").set(self.slots.len() as i64);
     }
 
-    /// Per-dataset storage gauges: the backend's resident footprint and
-    /// its compression ratio versus the canonical CSR, in permille so the
-    /// integer gauge keeps three decimals (1000 = parity with CSR).
+    /// Per-dataset storage gauge: the dataset's resident footprint (graph
+    /// plus artifacts).
     fn record_slot_gauges(&self, name: &str) {
         let Some(slot) = self.slots.get(name) else {
             return;
         };
-        let ds = &slot.dataset;
         bestk_obs::gauge(&format!(
             "engine.dataset.resident_bytes{{dataset=\"{name}\"}}"
         ))
-        .set(ds.resident_bytes() as i64);
-        let permille = (ds.graph().compression_ratio() * 1000.0).round() as i64;
-        bestk_obs::gauge(&format!(
-            "engine.dataset.compression_permille{{dataset=\"{name}\"}}"
-        ))
-        .set(permille);
+        .set(slot.dataset.resident_bytes() as i64);
     }
 
     /// Answers one query against the named dataset.
@@ -650,79 +612,6 @@ mod tests {
             let a = eng.query("fig2", &q, &threads).unwrap();
             assert_eq!(a.to_line(), "stats\tn=12\tm=19\tkmax=3\tcores=3");
         });
-    }
-
-    #[test]
-    fn corrupt_snapshot_quarantines_and_rebuilds_from_source() {
-        let dir = std::env::temp_dir().join("bestk-engine-fallback-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let snap = dir.join("fig2.bestk");
-        let source = dir.join("fig2.txt");
-        let quarantine = dir.join("fig2.bestk.quarantine");
-        std::fs::remove_file(&quarantine).ok();
-        let g = generators::paper_figure2();
-        bestk_graph::io::write_edge_list_path(&g, &source).unwrap();
-        let mut ds = Dataset::from_graph(g);
-        ds.ensure_built(&policy());
-        crate::save_snapshot_v2_path(&ds, &snap).unwrap();
-        // Corrupt the snapshot's payload on disk.
-        let mut bytes = std::fs::read(&snap).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xFF;
-        std::fs::write(&snap, &bytes).unwrap();
-
-        let mut eng = Engine::new(None);
-        let snap_str = snap.to_str().unwrap();
-        // Without a source the corruption surfaces as the typed error.
-        let err = eng
-            .load_snapshot_with_fallback(
-                "fig2",
-                snap_str,
-                None,
-                &snapshot::RetryPolicy::none(),
-                &policy(),
-            )
-            .unwrap_err();
-        assert!(err.is_corruption(), "{err}");
-        // With a source the engine quarantines the bad file and rebuilds.
-        let outcome = eng
-            .load_snapshot_with_fallback(
-                "fig2",
-                snap_str,
-                Some(source.to_str().unwrap()),
-                &snapshot::RetryPolicy::none(),
-                &policy(),
-            )
-            .unwrap();
-        assert_eq!(outcome, LoadOutcome::Rebuilt);
-        assert!(quarantine.exists(), "corrupt file must be quarantined");
-        assert!(!snap.exists(), "corrupt file must be moved aside");
-        let a = eng
-            .query(
-                "fig2",
-                &Query::BestKSet {
-                    metric: Metric::AverageDegree,
-                },
-                &policy(),
-            )
-            .unwrap();
-        assert_eq!(a.to_line(), "bestkset\tad\tk=2\tscore=3.1666666666666665");
-
-        // An intact snapshot through the same entry point reports Loaded.
-        crate::save_snapshot_v2_path(&ds, &snap).unwrap();
-        let outcome = eng
-            .load_snapshot_with_fallback(
-                "fig2b",
-                snap_str,
-                Some(source.to_str().unwrap()),
-                &snapshot::RetryPolicy::none(),
-                &policy(),
-            )
-            .unwrap();
-        assert_eq!(outcome, LoadOutcome::Loaded);
-        for f in [snap, source, quarantine] {
-            std::fs::remove_file(f).ok();
-        }
     }
 
     #[test]

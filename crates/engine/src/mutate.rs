@@ -26,12 +26,17 @@
 //! the same dataset gets a typed `mutation rejected` error instead of
 //! blocking.
 //!
-//! On load ([`SharedEngine::load_snapshot_with_fallback`]) the sibling
-//! `<snapshot>.wal` is replayed: committed ops re-apply on top of the
-//! loaded snapshot before the dataset is installed. An unreadable log — or
-//! a committed op that no longer applies — is quarantined to
-//! `<wal>.quarantine` and the engine serves the un-mutated snapshot,
-//! mirroring the corrupt-snapshot ladder.
+//! On load the sibling `<snapshot>.wal` is replayed: committed ops
+//! re-apply on top of the loaded snapshot before the dataset is installed.
+//! Both loads do this. [`SharedEngine::load_snapshot_with_fallback`]
+//! (serve `load`, `bestk mutate`) adopts the log for writing: it creates
+//! one if absent and cuts a torn or uncommitted tail, and an unreadable
+//! log — or a committed op that no longer applies — is quarantined to
+//! `<wal>.quarantine` while the engine serves the un-mutated snapshot,
+//! mirroring the corrupt-snapshot ladder. The strict
+//! [`Engine::load_snapshot`](crate::Engine::load_snapshot)
+//! (`bestk query`) only reads the log: it writes no byte of it, and an
+//! unreadable or non-applying log is a typed error.
 //!
 //! Replay and a slot's first commit read the whole committed graph, so
 //! both first pay a mapped snapshot's deferred graph-section check (see
@@ -263,32 +268,52 @@ pub(crate) fn adopt_wal(
     if ops.is_empty() {
         return Ok((dataset, DeltaSlot::with_wal(log, 0)));
     }
-    // Replay copies the whole snapshot graph into the mutated one, so a
-    // mapped graph pays its deferred check first.
-    crate::snapshot::check_graph(&dataset)?;
-    let mut overlay = DeltaOverlay::new(dataset.graph());
-    let mut failed = false;
-    for op in &ops {
-        if overlay.apply(*op).is_err() {
-            failed = true;
-            break;
+    match apply_committed(&dataset, &ops)? {
+        Some(mutated) => Ok((mutated, DeltaSlot::with_wal(log, ops.len() as u64))),
+        None => {
+            // The log's committed ops do not fit this snapshot (e.g. the
+            // snapshot was rebuilt from its original source): preserve the
+            // log for forensics and serve the snapshot as-is.
+            drop(log);
+            quarantine_wal(wal_path)?;
+            let (fresh, _) = DeltaLog::open(wal_path)?;
+            Ok((dataset, DeltaSlot::with_wal(fresh, 0)))
         }
     }
-    if failed {
-        // The log's committed ops do not fit this snapshot (e.g. the
-        // snapshot was rebuilt from its original source): preserve the log
-        // for forensics and serve the snapshot as-is.
-        drop(log);
-        quarantine_wal(wal_path)?;
-        let (fresh, _) = DeltaLog::open(wal_path)?;
-        return Ok((dataset, DeltaSlot::with_wal(fresh, 0)));
+}
+
+/// The strict load's replay: re-applies the committed ops of the log at
+/// `wal_path` (a missing log is an empty one) on top of `dataset`, and
+/// writes nothing. A torn or uncommitted tail is left as it is, no log is
+/// created, and a log that is not a delta log, or whose committed ops no
+/// longer apply, is a typed error rather than a quarantine, so a one-shot
+/// reader never disturbs a log that a live server is writing.
+pub(crate) fn replay_wal(dataset: Dataset, wal_path: &str) -> Result<Dataset, EngineError> {
+    let ops = bestk_delta::replay_path(wal_path)?.ops;
+    if ops.is_empty() {
+        return Ok(dataset);
+    }
+    apply_committed(&dataset, &ops)?.ok_or_else(|| {
+        EngineError::BadSnapshot(format!(
+            "delta log {wal_path}: its committed ops no longer apply to the snapshot"
+        ))
+    })
+}
+
+/// Re-applies committed `ops` on top of `dataset` and returns the mutated
+/// dataset, or `None` when one of them no longer applies. Replay copies
+/// the whole snapshot graph into the mutated one, so a mapped graph pays
+/// its deferred check first.
+fn apply_committed(dataset: &Dataset, ops: &[EdgeOp]) -> Result<Option<Dataset>, EngineError> {
+    crate::snapshot::check_graph(dataset)?;
+    let mut overlay = DeltaOverlay::new(dataset.graph());
+    for op in ops {
+        if overlay.apply(*op).is_err() {
+            return Ok(None);
+        }
     }
     bestk_obs::counter("delta.replayed_ops").add(ops.len() as u64);
-    let graph = overlay.materialize();
-    Ok((
-        Dataset::from_graph(graph),
-        DeltaSlot::with_wal(log, ops.len() as u64),
-    ))
+    Ok(Some(Dataset::from_graph(overlay.materialize())))
 }
 
 /// Moves an unusable write-ahead log aside as `<wal>.quarantine`,
@@ -678,6 +703,38 @@ mod tests {
         eng.stage_edge("g", EdgeOp::Insert(0, 11)).unwrap();
         eng.commit_edges("g", &policy()).unwrap();
         for f in [snap, wal, quarantine] {
+            let _ = std::fs::remove_file(f);
+        }
+    }
+
+    #[test]
+    fn the_strict_load_reports_a_bad_log_and_leaves_it_in_place() {
+        let dir = temp_dir("strict");
+        let snap = dir.join("g.bestk");
+        let wal = dir.join("g.bestk.wal");
+        let quarantine = dir.join("g.bestk.wal.quarantine");
+        for stale in [&wal, &quarantine] {
+            let _ = std::fs::remove_file(stale);
+        }
+        let mut ds = Dataset::from_graph(generators::paper_figure2());
+        ds.ensure_built(&policy());
+        crate::save_snapshot_v2_path(&ds, &snap).unwrap();
+        // A committed insert of an edge the snapshot already holds.
+        let (mut log, _) = DeltaLog::open(&wal).unwrap();
+        log.append(&EdgeOp::Insert(0, 1)).unwrap();
+        log.commit().unwrap();
+        drop(log);
+        let non_applying = std::fs::read(&wal).unwrap();
+        for bytes in [non_applying, b"not a delta log at all".to_vec()] {
+            std::fs::write(&wal, &bytes).unwrap();
+            let err = crate::Engine::new(None)
+                .load_snapshot("g", snap.to_str().unwrap())
+                .unwrap_err();
+            assert!(err.is_corruption(), "{err}");
+            assert_eq!(std::fs::read(&wal).unwrap(), bytes);
+            assert!(!quarantine.exists(), "a read-only load never quarantines");
+        }
+        for f in [snap, wal] {
             let _ = std::fs::remove_file(f);
         }
     }

@@ -103,16 +103,24 @@ impl SharedEngine {
         self.guard().is_empty()
     }
 
-    /// The resilient snapshot load (see
-    /// [`Engine::load_snapshot_with_fallback`] for the ladder), with the
-    /// lock discipline applied: the read, any quarantine, and any rebuild
-    /// all complete before the registry lock is touched.
+    /// Resilient snapshot load — the degradation ladder:
     ///
-    /// The shared engine additionally adopts the snapshot's sibling
-    /// write-ahead log (`<path>.wal`): committed mutations replay on top
-    /// of the loaded dataset, and an unreadable or mismatched log is
-    /// quarantined (see `crate::mutate`) — all of it, again, before the
-    /// lock is taken.
+    /// 1. open `path`, retrying *transient* I/O failures under `retry`;
+    /// 2. if the bytes are corrupt (bad magic, version skew, checksum
+    ///    mismatch, truncation, …) and a `source` graph file is given,
+    ///    rename the bad file to `<path>.quarantine` (preserving it for
+    ///    forensics), rebuild the full index from `source`, and serve
+    ///    that — startup degrades to a slow build instead of failing.
+    ///    With a `source`, the graph section's deferred checksum is paid
+    ///    too; without one the open stays zero-copy;
+    /// 3. otherwise surface the typed error.
+    ///
+    /// The load then adopts the snapshot's sibling write-ahead log
+    /// (`<path>.wal`, created if absent): committed mutations replay on
+    /// top of the loaded dataset, and an unreadable or mismatched log is
+    /// quarantined (see `crate::mutate`). The read, any quarantine, any
+    /// rebuild and the replay all complete before the registry lock is
+    /// touched.
     pub fn load_snapshot_with_fallback(
         &self,
         name: &str,
@@ -247,6 +255,76 @@ mod tests {
         assert!(!shared.dataset_rows()[0].built, "a should be evicted");
         let a2 = shared.query("a", &q, &policy()).unwrap().to_line();
         assert_eq!(a1, a2);
+    }
+
+    #[test]
+    fn corrupt_snapshot_quarantines_and_rebuilds_from_source() {
+        let dir = std::env::temp_dir().join("bestk-engine-fallback-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let snap = dir.join("fig2.bestk");
+        let source = dir.join("fig2.txt");
+        let quarantine = dir.join("fig2.bestk.quarantine");
+        // Every shared load adopts (creating if absent) the sibling log.
+        let wal = dir.join("fig2.bestk.wal");
+        std::fs::remove_file(&quarantine).ok();
+        std::fs::remove_file(&wal).ok();
+        let g = generators::paper_figure2();
+        bestk_graph::io::write_edge_list_path(&g, &source).unwrap();
+        let mut ds = crate::Dataset::from_graph(g);
+        ds.ensure_built(&policy());
+        crate::save_snapshot_v2_path(&ds, &snap).unwrap();
+        // Corrupt the snapshot's payload on disk.
+        let mut bytes = std::fs::read(&snap).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0xFF;
+        std::fs::write(&snap, &bytes).unwrap();
+
+        let eng = SharedEngine::with_budget(None);
+        let snap_str = snap.to_str().unwrap();
+        // Without a source the corruption surfaces as the typed error.
+        let err = eng
+            .load_snapshot_with_fallback("fig2", snap_str, None, &RetryPolicy::none(), &policy())
+            .unwrap_err();
+        assert!(err.is_corruption(), "{err}");
+        // With a source the engine quarantines the bad file and rebuilds.
+        let outcome = eng
+            .load_snapshot_with_fallback(
+                "fig2",
+                snap_str,
+                Some(source.to_str().unwrap()),
+                &RetryPolicy::none(),
+                &policy(),
+            )
+            .unwrap();
+        assert_eq!(outcome, LoadOutcome::Rebuilt);
+        assert!(quarantine.exists(), "corrupt file must be quarantined");
+        assert!(!snap.exists(), "corrupt file must be moved aside");
+        let a = eng
+            .query(
+                "fig2",
+                &Query::BestKSet {
+                    metric: Metric::AverageDegree,
+                },
+                &policy(),
+            )
+            .unwrap();
+        assert_eq!(a.to_line(), "bestkset\tad\tk=2\tscore=3.1666666666666665");
+
+        // An intact snapshot through the same entry point reports Loaded.
+        crate::save_snapshot_v2_path(&ds, &snap).unwrap();
+        let outcome = eng
+            .load_snapshot_with_fallback(
+                "fig2b",
+                snap_str,
+                Some(source.to_str().unwrap()),
+                &RetryPolicy::none(),
+                &policy(),
+            )
+            .unwrap();
+        assert_eq!(outcome, LoadOutcome::Loaded);
+        for f in [snap, source, quarantine, wal] {
+            std::fs::remove_file(f).ok();
+        }
     }
 
     #[test]

@@ -95,7 +95,7 @@ pub(crate) fn encode_core_profile(p: &SingleCoreProfile) -> Vec<u8> {
 /// Bounded retry policy for transient snapshot I/O (`Interrupted`,
 /// `WouldBlock`, `TimedOut`, `WriteZero`). Corruption is *not* retried —
 /// re-reading bad bytes cannot fix them; see
-/// [`Engine::load_snapshot_with_fallback`](crate::Engine::load_snapshot_with_fallback)
+/// [`SharedEngine::load_snapshot_with_fallback`](crate::SharedEngine::load_snapshot_with_fallback)
 /// for the degradation ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {

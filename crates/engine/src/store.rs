@@ -1,25 +1,19 @@
-//! Pluggable graph storage backends behind one [`GraphStore`] enum.
+//! The engine's graph storage: one [`GraphStore`] variant per role.
 //!
-//! The engine serves queries against three physical layouts:
-//!
-//! * [`GraphStore::Csr`] — the canonical materialized
-//!   [`CsrGraph`](bestk_graph::CsrGraph): fastest scans, largest resident
-//!   footprint, the only mutable/buildable form.
-//! * [`GraphStore::Succinct`] — the compressed
-//!   [`SuccinctCsr`](bestk_graph::SuccinctCsr) (Elias–Fano offsets plus
-//!   gap-varint adjacency): 2–4× smaller, ~2–3× slower neighbor scans,
-//!   bit-identical neighbor order.
+//! * [`GraphStore::Csr`] — the canonical materialized [`CsrGraph`] that
+//!   every build runs on, every commit produces and every compaction
+//!   writes out: fastest scans, the graph's full heap footprint.
 //! * [`GraphStore::Mapped`] — a zero-copy [`ByteCsr`] borrowing its bytes
-//!   from a memory-mapped v2 snapshot: near-zero heap cost and
-//!   near-instant open, backed by the page cache.
+//!   from a memory-mapped v2 snapshot, the form every `.bestk` opens as:
+//!   near-zero heap cost and near-instant open, backed by the page cache.
 //!
-//! All three implement [`GraphView`] with identical observations, so every
-//! algorithm and every query answer is bit-identical across backends
+//! Both implement [`GraphView`] with identical observations, so every
+//! algorithm and every query answer is bit-identical across them
 //! (property-tested in `tests/backend_equivalence.rs`).
 
 use std::sync::Arc;
 
-use bestk_graph::{ByteCsr, CsrGraph, GraphView, Neighbors, SuccinctCsr, VertexId};
+use bestk_graph::{ByteCsr, CsrGraph, GraphView, Neighbors, VertexId};
 
 use crate::mmap::Mmap;
 
@@ -57,73 +51,40 @@ impl AsRef<[u8]> for SnapshotSlice {
     }
 }
 
-/// A graph held in one of the engine's storage backends. See the module
-/// docs for the trade-offs; [`GraphStore::as_csr`] is the escape hatch for
-/// the few operations (snapshot *writes*, artifact builds that want raw
-/// slices) that need the canonical form.
+/// A graph held in one of the engine's two stores. See the module docs
+/// for the roles; [`GraphStore::as_csr`] is the escape hatch for the few
+/// operations (snapshot *writes*, artifact builds that want raw slices)
+/// that need the canonical form.
 #[derive(Clone, Debug)]
 pub enum GraphStore {
     /// Canonical materialized CSR.
     Csr(Arc<CsrGraph>),
-    /// Compressed succinct CSR.
-    Succinct(Arc<SuccinctCsr>),
     /// Zero-copy view into a mapped v2 snapshot.
     Mapped(ByteCsr<SnapshotSlice>),
 }
 
 impl GraphStore {
-    /// Stable lowercase backend tag used by CLI flags, metric labels, and
-    /// bench JSON: `csr`, `succinct`, or `mapped`.
-    pub fn backend_name(&self) -> &'static str {
-        match self {
-            GraphStore::Csr(_) => "csr",
-            GraphStore::Succinct(_) => "succinct",
-            GraphStore::Mapped(_) => "mapped",
-        }
-    }
-
     /// Heap bytes resident for the graph itself. Mapped graphs report 0 —
     /// their bytes live in the page cache, not the process heap.
     pub fn resident_heap_bytes(&self) -> usize {
         match self {
             GraphStore::Csr(g) => g.heap_bytes(),
-            GraphStore::Succinct(g) => g.heap_bytes(),
             GraphStore::Mapped(_) => 0,
         }
     }
 
-    /// Compression ratio `canonical CSR bytes / this backend's bytes`
-    /// (≥ 1.0 means smaller than the CSR; the CSR itself reports 1.0, and
-    /// mapped snapshots compare against their on-disk graph section).
-    pub fn compression_ratio(&self) -> f64 {
-        match self {
-            GraphStore::Csr(_) => 1.0,
-            GraphStore::Succinct(g) => g.compression_ratio(),
-            GraphStore::Mapped(b) => {
-                let csr_bytes = 8 * (self.num_vertices() + 1) + 4 * 2 * self.num_edges();
-                let section = b.bytes().len();
-                if section == 0 {
-                    1.0
-                } else {
-                    csr_bytes as f64 / section as f64
-                }
-            }
-        }
-    }
-
-    /// The canonical CSR: borrowed when this *is* the CSR backend,
-    /// materialized (with full validation) otherwise.
+    /// The canonical CSR: borrowed when this *is* the CSR store,
+    /// materialized (with full validation) from the mapped bytes otherwise.
     pub fn as_csr(&self) -> Result<Arc<CsrGraph>, bestk_graph::GraphError> {
         match self {
             GraphStore::Csr(g) => Ok(Arc::clone(g)),
-            GraphStore::Succinct(g) => Ok(Arc::new(g.to_csr())),
             GraphStore::Mapped(b) => b.to_csr().map(Arc::new),
         }
     }
 }
 
 /// Observation equality: two stores are equal when every [`GraphView`]
-/// observation agrees, regardless of backend. This is the equality that
+/// observation agrees, regardless of store. This is the equality that
 /// matters for round-trip tests — a mapped snapshot of a CSR *is* that
 /// graph.
 impl PartialEq for GraphStore {
@@ -150,18 +111,11 @@ impl From<Arc<CsrGraph>> for GraphStore {
     }
 }
 
-impl From<SuccinctCsr> for GraphStore {
-    fn from(g: SuccinctCsr) -> GraphStore {
-        GraphStore::Succinct(Arc::new(g))
-    }
-}
-
 impl GraphView for GraphStore {
     #[inline]
     fn num_vertices(&self) -> usize {
         match self {
             GraphStore::Csr(g) => GraphView::num_vertices(&**g),
-            GraphStore::Succinct(g) => g.num_vertices(),
             GraphStore::Mapped(g) => g.num_vertices(),
         }
     }
@@ -170,7 +124,6 @@ impl GraphView for GraphStore {
     fn num_edges(&self) -> usize {
         match self {
             GraphStore::Csr(g) => GraphView::num_edges(&**g),
-            GraphStore::Succinct(g) => g.num_edges(),
             GraphStore::Mapped(g) => g.num_edges(),
         }
     }
@@ -179,7 +132,6 @@ impl GraphView for GraphStore {
     fn degree(&self, v: VertexId) -> usize {
         match self {
             GraphStore::Csr(g) => GraphView::degree(&**g, v),
-            GraphStore::Succinct(g) => GraphView::degree(&**g, v),
             GraphStore::Mapped(g) => g.degree(v),
         }
     }
@@ -188,7 +140,6 @@ impl GraphView for GraphStore {
     fn neighbors(&self, v: VertexId) -> Neighbors<'_> {
         match self {
             GraphStore::Csr(g) => GraphView::neighbors(&**g, v),
-            GraphStore::Succinct(g) => GraphView::neighbors(&**g, v),
             GraphStore::Mapped(g) => g.neighbors(v),
         }
     }
@@ -197,7 +148,6 @@ impl GraphView for GraphStore {
     fn adjacency_start(&self, v: VertexId) -> usize {
         match self {
             GraphStore::Csr(g) => GraphView::adjacency_start(&**g, v),
-            GraphStore::Succinct(g) => GraphView::adjacency_start(&**g, v),
             GraphStore::Mapped(g) => g.adjacency_start(v),
         }
     }
@@ -207,7 +157,6 @@ impl GraphView for GraphStore {
         match self {
             // Keep the CSR's binary-search override through the enum.
             GraphStore::Csr(g) => g.has_edge(u, v),
-            GraphStore::Succinct(g) => GraphView::has_edge(&**g, u, v),
             GraphStore::Mapped(g) => GraphView::has_edge(g, u, v),
         }
     }
@@ -216,7 +165,6 @@ impl GraphView for GraphStore {
         match self {
             // bestk-analyze: allow(no-raw-graph) — CSR fast path for the trait's own accessor
             GraphStore::Csr(g) => g.offsets().to_vec(),
-            GraphStore::Succinct(g) => GraphView::degree_offsets(&**g),
             GraphStore::Mapped(g) => GraphView::degree_offsets(g),
         }
     }
@@ -240,37 +188,30 @@ mod tests {
         let g = generators::paper_figure2();
         let base = observations(&g);
         let csr = GraphStore::from(g.clone());
-        let succinct = GraphStore::from(SuccinctCsr::from_csr(&g));
         let bytes = bestk_graph::bytecsr::encode_view(&g);
         let map = Arc::new(Mmap::from_vec(bytes));
         let len = map.len();
         let slice = SnapshotSlice::new(map, 0, len).unwrap();
         let mapped = GraphStore::Mapped(ByteCsr::new(slice).unwrap());
-        for store in [&csr, &succinct, &mapped] {
-            assert_eq!(observations(store), base, "{}", store.backend_name());
+        for store in [&csr, &mapped] {
+            assert_eq!(observations(store), base, "{store:?}");
             assert_eq!(store.degree_offsets(), g.offsets().to_vec());
         }
-        assert_eq!(csr.backend_name(), "csr");
-        assert_eq!(succinct.backend_name(), "succinct");
-        assert_eq!(mapped.backend_name(), "mapped");
         assert_eq!(mapped.resident_heap_bytes(), 0);
         assert!(csr.resident_heap_bytes() > 0);
-        assert!(succinct.resident_heap_bytes() < csr.resident_heap_bytes());
-        assert!(succinct.compression_ratio() > 1.0);
     }
 
     #[test]
     fn as_csr_round_trips_every_backend() {
         let g = generators::erdos_renyi_gnm(60, 180, 3);
         let csr = GraphStore::from(g.clone());
-        let succinct = GraphStore::from(SuccinctCsr::from_csr(&g));
         let bytes = bestk_graph::bytecsr::encode_view(&g);
         let map = Arc::new(Mmap::from_vec(bytes));
         let len = map.len();
         let mapped =
             GraphStore::Mapped(ByteCsr::new(SnapshotSlice::new(map, 0, len).unwrap()).unwrap());
-        for store in [&csr, &succinct, &mapped] {
-            assert_eq!(*store.as_csr().unwrap(), g, "{}", store.backend_name());
+        for store in [&csr, &mapped] {
+            assert_eq!(*store.as_csr().unwrap(), g, "{store:?}");
         }
     }
 

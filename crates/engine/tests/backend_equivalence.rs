@@ -1,18 +1,19 @@
-//! Backend-equivalence property suite: every storage backend — canonical
-//! CSR, succinct CSR, and zero-copy mapped snapshot — must be
-//! *observation-identical*. Degrees, neighbor sequences, and every best-k
-//! answer are compared bit-for-bit across backends on randomized testkit
-//! graphs, and the mmap path is additionally probed with truncated and
-//! corrupted files (rejection) plus a corrupt-graph-body file (the proof
-//! that `open` does not read the full graph section before the first
-//! query).
+//! Backend-equivalence property suite: the engine's two graph stores —
+//! canonical CSR and zero-copy mapped snapshot — must be
+//! *observation-identical*. Degrees, neighbor sequences, edge membership,
+//! adjacency slots and every best-k answer are compared bit-for-bit across
+//! the stores on randomized testkit graphs, and the mmap path is
+//! additionally probed with truncated and corrupted files (rejection) plus
+//! a corrupt-graph-body file (the proof that `open` does not read the full
+//! graph section before the first query).
 
 use std::sync::Arc;
 
 use bestk_core::Metric;
+use bestk_engine::store::SnapshotSlice;
 use bestk_engine::{mmap::Mmap, snapv2, Dataset, EngineError, GraphStore, Query};
 use bestk_exec::ExecPolicy;
-use bestk_graph::{bytecsr, testkit, ByteCsr, CsrGraph, GraphView, SuccinctCsr};
+use bestk_graph::{bytecsr, testkit, ByteCsr, CsrGraph, GraphView};
 
 /// Renders an answer result to a stable line, errors included, so parity
 /// holds even on degenerate graphs where some queries legitimately fail.
@@ -50,21 +51,39 @@ fn backends_observe_identically_on_random_graphs() {
     let mut gen = testkit::Gen::new(0xBACC);
     for case in 0..24 {
         let g = gen.graph(48, 160);
-        let succinct = SuccinctCsr::from_csr(&g);
-        let mapped = ByteCsr::new(bytecsr::encode_view(&g)).expect("framing");
-        assert_eq!(succinct.num_vertices(), g.num_vertices(), "case {case}");
-        assert_eq!(succinct.num_edges(), g.num_edges(), "case {case}");
+        // Through the enum the engine dispatches on: the delta overlay
+        // validates every staged op on a loaded snapshot with the mapped
+        // arm's `has_edge`, and builds address adjacency slots and chunk
+        // weights through `adjacency_start` and `degree_offsets`.
+        let map = Arc::new(Mmap::from_vec(bytecsr::encode_view(&g)));
+        let len = map.len();
+        let slice = SnapshotSlice::new(map, 0, len).expect("slice");
+        let mapped = GraphStore::Mapped(ByteCsr::new(slice).expect("framing"));
         assert_eq!(mapped.num_vertices(), g.num_vertices(), "case {case}");
         assert_eq!(mapped.num_edges(), g.num_edges(), "case {case}");
-        for v in g.vertices() {
-            let want = g.neighbors(v).to_vec();
-            assert_eq!(GraphView::degree(&succinct, v), want.len(), "case {case}");
-            assert_eq!(GraphView::degree(&mapped, v), want.len(), "case {case}");
-            let s: Vec<u32> = GraphView::neighbors(&succinct, v).collect();
-            let m: Vec<u32> = GraphView::neighbors(&mapped, v).collect();
-            assert_eq!(s, want, "case {case} vertex {v}");
-            assert_eq!(m, want, "case {case} vertex {v}");
+        for u in g.vertices() {
+            let want = g.neighbors(u).to_vec();
+            assert_eq!(mapped.degree(u), want.len(), "case {case}");
+            let m: Vec<u32> = mapped.neighbors(u).collect();
+            assert_eq!(m, want, "case {case} vertex {u}");
+            assert_eq!(
+                mapped.adjacency_start(u),
+                GraphView::adjacency_start(&g, u),
+                "case {case} vertex {u}"
+            );
+            for v in g.vertices() {
+                assert_eq!(
+                    mapped.has_edge(u, v),
+                    g.has_edge(u, v),
+                    "case {case} pair ({u}, {v})"
+                );
+            }
         }
+        assert_eq!(
+            mapped.degree_offsets(),
+            GraphView::degree_offsets(&g),
+            "case {case}"
+        );
     }
 }
 
@@ -83,18 +102,26 @@ fn best_k_answers_are_bit_identical_across_backends() {
         csr.ensure_built(&policy);
         let want: Vec<String> = qs.iter().map(|q| answer_line(&csr, q)).collect();
 
-        // Succinct backend: same artifacts pipeline, compressed scans.
-        let mut succinct = Dataset::from_store(GraphStore::from(SuccinctCsr::from_csr(&g)));
-        succinct.ensure_built(&policy);
-        let got: Vec<String> = qs.iter().map(|q| answer_line(&succinct, q)).collect();
-        assert_eq!(got, want, "case {case}: succinct diverged");
-
         // Mapped backend: answers come straight off the v2 snapshot bytes.
         let bytes = snapv2::to_bytes(&csr).expect("serialize");
         let mapped = snapv2::open_mmap(Arc::new(Mmap::from_vec(bytes))).expect("open");
         let got: Vec<String> = qs.iter().map(|q| answer_line(&mapped, q)).collect();
         assert_eq!(got, want, "case {case}: mapped diverged");
         assert!(mapped.is_built(), "mapped datasets never need a build");
+
+        // LRU eviction keeps the mapped store and drops the artifacts; the
+        // next query rebuilds them over the mapped graph, not a CSR.
+        let mut rebuilt = mapped.without_artifacts();
+        assert!(rebuilt.ensure_built(&policy), "case {case}");
+        assert!(
+            matches!(rebuilt.graph(), GraphStore::Mapped(_)),
+            "case {case}"
+        );
+        let got: Vec<String> = qs.iter().map(|q| answer_line(&rebuilt, q)).collect();
+        assert_eq!(
+            got, want,
+            "case {case}: rebuild over the mapped store diverged"
+        );
     }
 }
 

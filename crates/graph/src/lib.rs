@@ -48,7 +48,6 @@ pub mod io;
 pub mod rng;
 pub mod stats;
 pub mod subgraph;
-mod succinct;
 pub mod testkit;
 pub mod transform;
 pub mod verify;
@@ -59,7 +58,6 @@ pub use builder::{build_relabeled, GraphBuilder};
 pub use bytecsr::ByteCsr;
 pub use csr::{CsrGraph, EdgeIter, VertexId};
 pub use error::GraphError;
-pub use succinct::{EliasFano, SuccinctCsr};
 pub use view::{GraphView, Neighbors};
 
 /// Crate-wide result alias.

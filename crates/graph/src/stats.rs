@@ -137,7 +137,7 @@ mod tests {
     #[test]
     fn stats_agree_across_backends() {
         let g = generators::erdos_renyi_gnm(200, 600, 9);
-        let s = crate::SuccinctCsr::from_csr(&g);
+        let s = crate::ByteCsr::new(crate::bytecsr::encode_view(&g)).unwrap();
         assert_eq!(graph_stats(&s), graph_stats(&g));
         assert_eq!(degree_histogram(&s), degree_histogram(&g));
         assert_eq!(power_law_exponent_mle(&s, 2), power_law_exponent_mle(&g, 2));

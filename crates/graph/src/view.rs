@@ -4,15 +4,14 @@
 //! implements: vertex/edge counts, degrees, and per-vertex neighbor
 //! iteration in a *defined order* (the backend's stored adjacency order).
 //! Algorithms written against `&impl GraphView` run unchanged — and
-//! produce bit-identical answers — over the materialized [`CsrGraph`],
-//! the compressed [`SuccinctCsr`](crate::SuccinctCsr), or a zero-copy
-//! byte view borrowed from a mapped snapshot
+//! produce bit-identical answers — over the materialized [`CsrGraph`]
+//! or a zero-copy byte view borrowed from a mapped snapshot
 //! ([`ByteCsr`](crate::ByteCsr)).
 //!
 //! [`Neighbors`] is a concrete enum iterator rather than an associated
 //! type so backends living in other crates can construct one from their
-//! own storage (vertex-id slices, little-endian byte ranges, or varint
-//! gap streams) without the trait growing generics at every call site.
+//! own storage (vertex-id slices or little-endian byte ranges) without
+//! the trait growing generics at every call site.
 
 use crate::cast;
 use crate::csr::CsrGraph;
@@ -200,8 +199,8 @@ impl<T: GraphView + ?Sized> GraphView for &T {
 /// Neighbor iterator shared by every backend.
 ///
 /// A concrete enum rather than `impl Iterator` so [`GraphView`] stays a
-/// plain trait; the variants cover the three physical layouts in the
-/// workspace. Truncated or malformed byte payloads terminate the stream
+/// plain trait; the variants cover the two physical layouts in the
+/// workspace. A truncated byte payload terminates the stream
 /// early instead of panicking — corrupt mapped bytes must never abort the
 /// process (structural validation is the snapshot layer's job).
 #[derive(Clone)]
@@ -216,9 +215,6 @@ enum Inner<'a> {
     Slice(std::slice::Iter<'a, VertexId>),
     /// Little-endian `u32` groups borrowed from raw bytes (mapped views).
     Bytes(&'a [u8]),
-    /// Varint-encoded gap stream (succinct CSR): first value raw, each
-    /// following value a delta from its predecessor.
-    Gaps { bytes: &'a [u8], prev: u64 },
 }
 
 impl<'a> Neighbors<'a> {
@@ -241,46 +237,15 @@ impl<'a> Neighbors<'a> {
         }
     }
 
-    /// `count` neighbors from a varint gap stream (first value raw, then
-    /// deltas). A stream that runs dry before `count` values ends the
-    /// iterator early.
-    #[inline]
-    pub fn from_gaps(bytes: &'a [u8], count: usize) -> Self {
-        Neighbors {
-            remaining: count,
-            inner: Inner::Gaps { bytes, prev: 0 },
-        }
-    }
-
-    /// The borrowed slice, when this iterator is slice-backed and
-    /// unconsumed decode state allows it. Fast path for concrete CSR
-    /// consumers; `None` for compressed or byte-backed streams.
+    /// The borrowed slice, when this iterator is slice-backed. Fast path
+    /// for concrete CSR consumers; `None` for byte-backed streams.
     #[inline]
     pub fn as_slice(&self) -> Option<&'a [VertexId]> {
         match &self.inner {
             Inner::Slice(it) => Some(it.as_slice()),
-            _ => None,
+            Inner::Bytes(_) => None,
         }
     }
-}
-
-/// Reads one LEB128-style varint from the front of `bytes`, returning the
-/// value and the rest. `None` on a truncated or over-long encoding.
-#[inline]
-fn take_varint(bytes: &[u8]) -> Option<(u64, &[u8])> {
-    let mut value = 0u64;
-    let mut shift = 0u32;
-    for (i, &b) in bytes.iter().enumerate() {
-        if shift >= 64 {
-            return None;
-        }
-        value |= u64::from(b & 0x7f) << shift;
-        if b & 0x80 == 0 {
-            return Some((value, &bytes[i + 1..]));
-        }
-        shift += 7;
-    }
-    None
 }
 
 impl Iterator for Neighbors<'_> {
@@ -302,15 +267,6 @@ impl Iterator for Neighbors<'_> {
                     Some(v)
                 }
             }
-            Inner::Gaps { bytes, prev } => match take_varint(bytes) {
-                Some((delta, rest)) => {
-                    *bytes = rest;
-                    let v = prev.saturating_add(delta);
-                    *prev = v;
-                    Some(cast::u32_from_u64(v.min(u64::from(VertexId::MAX))))
-                }
-                None => None,
-            },
         };
         match out {
             Some(v) => {
@@ -331,7 +287,6 @@ impl Iterator for Neighbors<'_> {
         let lower = match &self.inner {
             Inner::Slice(_) => self.remaining,
             Inner::Bytes(bytes) => self.remaining.min(bytes.len() / 4),
-            Inner::Gaps { bytes, .. } => self.remaining.min(bytes.len()),
         };
         (lower, Some(self.remaining))
     }
@@ -347,20 +302,6 @@ impl ExactSizeIterator for Neighbors<'_> {
 impl std::fmt::Debug for Neighbors<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Neighbors {{ remaining: {} }}", self.remaining)
-    }
-}
-
-/// Encodes `value` as a LEB128-style varint onto `out`.
-#[inline]
-pub(crate) fn push_varint(out: &mut Vec<u8>, mut value: u64) {
-    loop {
-        let byte = cast::low_byte(value) & 0x7f;
-        value >>= 7;
-        if value == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
     }
 }
 
@@ -426,29 +367,6 @@ mod tests {
         // A ragged tail is dropped, not panicked on.
         let got: Vec<_> = Neighbors::from_le_bytes(&bytes[..10]).collect();
         assert_eq!(got, vec![7, 9]);
-    }
-
-    #[test]
-    fn gap_iterator_round_trips_varints() {
-        let values = [3u64, 4, 1000, 1001, 4_000_000_000];
-        let mut bytes = Vec::new();
-        let mut prev = 0u64;
-        for &v in &values {
-            push_varint(&mut bytes, v - prev);
-            prev = v;
-        }
-        let got: Vec<_> = Neighbors::from_gaps(&bytes, values.len()).collect();
-        assert_eq!(got, vec![3, 4, 1000, 1001, 4_000_000_000]);
-    }
-
-    #[test]
-    fn gap_iterator_ends_early_on_truncated_stream() {
-        let mut bytes = Vec::new();
-        push_varint(&mut bytes, 5);
-        push_varint(&mut bytes, 300);
-        let truncated = &bytes[..bytes.len() - 1];
-        let got: Vec<_> = Neighbors::from_gaps(truncated, 2).collect();
-        assert_eq!(got, vec![5]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! The index *owns* a materialized copy of the adjacency (offsets plus
 //! sorted neighbor array), so it can be built from any [`GraphView`]
-//! backend — canonical CSR, succinct, or memory-mapped — and the truss
+//! backend — canonical CSR or memory-mapped — and the truss
 //! kernels address adjacency exclusively through it rather than through
 //! backend-specific raw arrays.
 
@@ -149,7 +149,7 @@ impl EdgeIndex {
 mod tests {
     use super::*;
     use bestk_graph::generators::{self, regular};
-    use bestk_graph::{CsrGraph, GraphBuilder, SuccinctCsr};
+    use bestk_graph::{bytecsr, ByteCsr, CsrGraph, GraphBuilder};
 
     #[test]
     fn ids_are_dense_and_symmetric() {
@@ -202,13 +202,13 @@ mod tests {
     fn backends_build_identical_indexes() {
         let g = generators::erdos_renyi_gnm(120, 500, 3);
         let from_csr = EdgeIndex::build(&g);
-        let from_succinct = EdgeIndex::build(&SuccinctCsr::from_csr(&g));
-        assert_eq!(from_csr.slot_ids(), from_succinct.slot_ids());
+        let from_mapped = EdgeIndex::build(&ByteCsr::new(bytecsr::encode_view(&g)).unwrap());
+        assert_eq!(from_csr.slot_ids(), from_mapped.slot_ids());
         for e in 0..500u32 {
-            assert_eq!(from_csr.endpoints(e), from_succinct.endpoints(e));
+            assert_eq!(from_csr.endpoints(e), from_mapped.endpoints(e));
         }
         for v in g.vertices() {
-            assert_eq!(from_csr.slots_of(v), from_succinct.slots_of(v));
+            assert_eq!(from_csr.slots_of(v), from_mapped.slots_of(v));
             assert_eq!(from_csr.degree(v), g.degree(v));
         }
     }
