@@ -10,12 +10,20 @@ use bestk_core::{
 use bestk_graph::{generators, io, stats};
 
 use crate::args::ParsedArgs;
-use crate::{load_graph, metric_by_abbrev, CliError};
+use crate::{load_graph, CliError};
+
+/// Resolves a `--metric` abbreviation; an unknown one is a usage error.
+fn metric_arg(abbrev: &str) -> Result<Metric, CliError> {
+    bestk_engine::metric_by_abbrev(abbrev).map_err(|e| match e {
+        bestk_engine::EngineError::BadQuery(msg) => CliError::Usage(msg),
+        other => other.into(),
+    })
+}
 
 /// Which metrics a command should report on.
 fn metric_selection(args: &ParsedArgs) -> Result<Vec<Metric>, CliError> {
     match args.opt("metric") {
-        Some(abbrev) => Ok(vec![metric_by_abbrev(abbrev)?]),
+        Some(abbrev) => Ok(vec![metric_arg(abbrev)?]),
         None if args.flag("extended") => Ok(Metric::EXTENDED.to_vec()),
         None => Ok(Metric::ALL.to_vec()),
     }
@@ -125,7 +133,7 @@ pub fn analyze(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
 pub fn profile(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     args.reject_unknown(&["metric", "single"])?;
     let g = load_graph(args.positional(0, "graph")?)?;
-    let metric = metric_by_abbrev(
+    let metric = metric_arg(
         args.opt("metric")
             .ok_or_else(|| CliError::Usage("profile requires --metric".into()))?,
     )?;
@@ -243,7 +251,7 @@ pub fn community(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError>
         mmd.vertices.len()
     )?;
     if let Some(abbrev) = args.opt("metric") {
-        let metric = metric_by_abbrev(abbrev)?;
+        let metric = metric_arg(abbrev)?;
         if metric.needs_triangles() {
             return Err(CliError::Usage(
                 "triangle-based metrics are not supported for community search".into(),
@@ -939,6 +947,10 @@ mod tests {
         let out = run(&["profile", &path, "--metric", "ad", "--single"]).unwrap();
         assert!(out.starts_with("k,score"));
         assert!(run(&["profile", &path]).is_err(), "missing --metric");
+        assert!(matches!(
+            run(&["profile", &path, "--metric", "xyz"]),
+            Err(CliError::Usage(msg)) if msg.starts_with("unknown metric \"xyz\"")
+        ));
     }
 
     #[test]

@@ -163,15 +163,6 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     }
 }
 
-/// Resolves a metric abbreviation.
-pub(crate) fn metric_by_abbrev(abbrev: &str) -> Result<bestk_core::Metric, CliError> {
-    bestk_core::Metric::EXTENDED
-        .iter()
-        .copied()
-        .find(|m| m.abbrev() == abbrev)
-        .ok_or_else(|| CliError::Usage(format!("unknown metric {abbrev:?}")))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,18 +186,5 @@ mod tests {
         let err = run_str(&["frobnicate"]).unwrap_err();
         assert!(matches!(err, CliError::Usage(_)));
         assert!(err.to_string().contains("frobnicate"));
-    }
-
-    #[test]
-    fn metric_lookup() {
-        assert_eq!(
-            metric_by_abbrev("ad").unwrap(),
-            bestk_core::Metric::AverageDegree
-        );
-        assert_eq!(
-            metric_by_abbrev("sep").unwrap(),
-            bestk_core::Metric::Separability
-        );
-        assert!(metric_by_abbrev("xyz").is_err());
     }
 }

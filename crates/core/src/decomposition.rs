@@ -25,8 +25,11 @@
 //! event region per chunk — then *applied* in chunk order. Because the
 //! frontier is contiguously chunked, the chunk-order merge replays the
 //! inline decrement order exactly, which is what keeps the cascade
-//! frontiers (and therefore the peel order the Alg. 2 sweep and the
-//! snapshot serializer consume) identical. See `tests/peel_equivalence.rs`
+//! frontiers, and therefore the peel order, identical. Alg. 1, the
+//! Alg. 2/3 sweep, the core forest, the delta index and the snapshot
+//! serializer read only coreness and the `(coreness, id)` rank order; the
+//! peel order's readers are the maximum-clique and coloring applications
+//! in `bestk-apps` and [`crate::verify`]. See `tests/peel_equivalence.rs`
 //! for the differential layer and DESIGN.md §17 for the contract.
 
 use bestk_exec::{prefix_sum, ExecPolicy};

@@ -81,8 +81,8 @@ impl DeltaIndex {
 
     /// [`build`](Self::build) under an execution policy: the peel fans out
     /// over the policy's workers (bit-identical output at every thread
-    /// count), which is what the engine's commit-after-eviction rebuild
-    /// routes through.
+    /// count). The engine seeds a slot's index through it at the slot's
+    /// first commit, and again after a failed apply dropped the index.
     pub fn build_with<G: GraphView + Sync>(g: &G, policy: &ExecPolicy) -> DeltaIndex {
         let decomp = core_decomposition_with(g, policy);
         Self::assemble_from(g, decomp)
@@ -176,12 +176,7 @@ impl DeltaIndex {
     /// Inserts the edge `{u, v}` and repairs every index layer.
     pub fn apply_insert(&mut self, u: VertexId, v: VertexId) -> Result<ApplyStats, DeltaError> {
         let _span = bestk_obs::span!("phase.delta.apply");
-        self.validate(u, v)?;
-        if self.adj[u as usize].contains(&v) {
-            return Err(DeltaError::BadOp(format!(
-                "edge ({u}, {v}) already present"
-            )));
-        }
+        self.validate(&EdgeOp::Insert(u, v))?;
         let (old_cu, old_cv) = (self.coreness[u as usize], self.coreness[v as usize]);
         let r = old_cu.min(old_cv);
         self.adj_insert(u, v);
@@ -210,10 +205,7 @@ impl DeltaIndex {
     /// Deletes the edge `{u, v}` and repairs every index layer.
     pub fn apply_delete(&mut self, u: VertexId, v: VertexId) -> Result<ApplyStats, DeltaError> {
         let _span = bestk_obs::span!("phase.delta.apply");
-        self.validate(u, v)?;
-        if !self.adj[u as usize].contains(&v) {
-            return Err(DeltaError::BadOp(format!("edge ({u}, {v}) not present")));
-        }
+        self.validate(&EdgeOp::Delete(u, v))?;
         let (old_cu, old_cv) = (self.coreness[u as usize], self.coreness[v as usize]);
         // Both endpoints carry an edge, so both have coreness >= 1.
         let r = old_cu.min(old_cv);
@@ -271,17 +263,8 @@ impl DeltaIndex {
         b.build()
     }
 
-    fn validate(&self, u: VertexId, v: VertexId) -> Result<(), DeltaError> {
-        if u == v {
-            return Err(DeltaError::BadOp(format!("self-loop on vertex {u}")));
-        }
-        if (u as usize) >= self.n || (v as usize) >= self.n {
-            return Err(DeltaError::BadOp(format!(
-                "edge ({u}, {v}) out of range for {} vertices",
-                self.n
-            )));
-        }
-        Ok(())
+    fn validate(&self, op: &EdgeOp) -> Result<(), DeltaError> {
+        crate::validate_op(op, self.n, |u, v| self.adj[u as usize].contains(&v))
     }
 
     /// Inserts `x` into `u`'s rank-ordered list at its `(coreness, id)`

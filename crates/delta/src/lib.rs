@@ -4,9 +4,10 @@
 //! over an *immutable* graph. This crate makes the index live under
 //! single-edge inserts and deletes, in three layers:
 //!
-//! * [`overlay`] — [`DeltaOverlay`], the only mutable graph form in the
-//!   workspace: validated pending ops over any immutable [`GraphView`]
-//!   backend, materialized back into canonical CSR at commit time.
+//! * [`overlay`] — [`DeltaOverlay`], a slot's staged ops: validated edge
+//!   ops over any immutable [`GraphView`] backend, kept as the op list plus
+//!   the set of edges whose presence they flip, and materialized back into
+//!   canonical CSR when the load replays a log.
 //! * [`index`] — [`DeltaIndex`], the maintained pipeline state: coreness,
 //!   shell order, Alg. 1 tags, and Alg. 2 primaries, repaired per op in
 //!   time proportional to the affected region and bit-identical to a
@@ -21,6 +22,9 @@
 #![warn(missing_docs)]
 
 use std::fmt;
+
+use bestk_graph::generators::EdgeOp;
+use bestk_graph::VertexId;
 
 pub mod index;
 pub mod overlay;
@@ -65,5 +69,32 @@ impl std::error::Error for DeltaError {
 impl From<std::io::Error> for DeltaError {
     fn from(e: std::io::Error) -> DeltaError {
         DeltaError::Io(e)
+    }
+}
+
+/// Validates `op` against a graph of `n` vertices in which `present`
+/// reports whether an edge exists. `present` runs only once both endpoints
+/// are in range, so it may index per-vertex state. The overlay and the
+/// index share this check, so every rejection reads the same.
+pub(crate) fn validate_op(
+    op: &EdgeOp,
+    n: usize,
+    present: impl FnOnce(VertexId, VertexId) -> bool,
+) -> Result<(), DeltaError> {
+    let (u, v) = op.endpoints();
+    if u == v {
+        return Err(DeltaError::BadOp(format!("self-loop on vertex {u}")));
+    }
+    if (u as usize) >= n || (v as usize) >= n {
+        return Err(DeltaError::BadOp(format!(
+            "edge ({u}, {v}) out of range for {n} vertices"
+        )));
+    }
+    match (op.is_insert(), present(u, v)) {
+        (true, true) => Err(DeltaError::BadOp(format!(
+            "edge ({u}, {v}) already present"
+        ))),
+        (false, false) => Err(DeltaError::BadOp(format!("edge ({u}, {v}) not present"))),
+        _ => Ok(()),
     }
 }

@@ -211,11 +211,6 @@ impl Dataset {
         true
     }
 
-    /// Drops the index, keeping only the graph (LRU eviction).
-    pub fn drop_artifacts(&mut self) {
-        self.index = Index::None;
-    }
-
     /// Approximate resident heap size in bytes, graph included. Mapped
     /// graphs and coreness sections cost ~0 here — their bytes belong to
     /// the page cache, which is the point.
@@ -426,7 +421,7 @@ mod tests {
         let mut ds = Dataset::from_graph(generators::paper_figure2());
         assert!(ds.ensure_built(&ExecPolicy::Sequential));
         assert!(!ds.ensure_built(&ExecPolicy::Sequential));
-        ds.drop_artifacts();
+        let mut ds = ds.without_artifacts();
         assert!(!ds.is_built());
         assert!(ds.ensure_built(&ExecPolicy::Sequential));
     }

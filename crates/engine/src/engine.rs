@@ -58,7 +58,7 @@ pub struct Counters {
 struct Slot {
     dataset: Arc<Dataset>,
     last_used: u64,
-    /// Mutation state (pending ops, write-ahead log, maintained index).
+    /// Mutation state (staged ops, write-ahead log, maintained index).
     /// `Some` when idle; taken out (`None`) while a mutation is in flight
     /// so its I/O runs with no registry lock held — a second mutation
     /// arriving meanwhile gets a typed busy error instead of blocking.
@@ -249,7 +249,7 @@ impl Engine {
             .get(name)
             .ok_or_else(|| EngineError::UnknownDataset(name.to_owned()))?;
         match &slot.delta {
-            Some(delta) => Ok(delta.pending.len()),
+            Some(delta) => Ok(delta.pending().len()),
             None => Err(EngineError::Mutation(format!(
                 "another mutation on {name:?} is in flight"
             ))),

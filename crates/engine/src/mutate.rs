@@ -1,14 +1,17 @@
 //! Edge mutations through the engine: stage → commit → compact.
 //!
 //! The registry's datasets are immutable; mutation happens through a
-//! per-slot [`DeltaSlot`] holding the pending ops, the durable
+//! per-slot [`DeltaSlot`] holding the staged ops, the durable
 //! [`DeltaLog`], and the incrementally maintained [`DeltaIndex`]:
 //!
-//! * **stage** ([`SharedEngine::stage_edge`]) validates the op against a
-//!   [`DeltaOverlay`] of the committed graph plus the already-pending ops,
-//!   appends it to the write-ahead log (not yet durable), and buffers it.
+//! * **stage** ([`SharedEngine::stage_edge`]) checks the op against the
+//!   slot's [`DeltaOverlay`] (the committed graph plus the edges the
+//!   staged ops flip), appends it to the write-ahead log (not yet
+//!   durable), and only then records it in the overlay. The overlay lives
+//!   in the slot from the first stage after a commit until that commit, so
+//!   a stage costs the same however many ops are already staged.
 //! * **commit** ([`SharedEngine::commit_edges`]) appends the commit marker
-//!   and `fsync`s (the durability point), folds the pending ops into the
+//!   and `fsync`s (the durability point), folds the staged ops into the
 //!   maintained [`DeltaIndex`] — affected-region work, not a rebuild —
 //!   materializes the mutated graph, and installs it as the slot's new
 //!   dataset. Full query artifacts (forest, triangle profiles) rebuild
@@ -49,22 +52,26 @@ use bestk_core::{BestKSet, Metric};
 use bestk_delta::{DeltaError, DeltaIndex, DeltaLog, DeltaOverlay};
 use bestk_exec::ExecPolicy;
 use bestk_graph::generators::EdgeOp;
+use bestk_graph::VertexId;
 
 use crate::dataset::Dataset;
 use crate::error::EngineError;
 use crate::registry::SharedEngine;
+use crate::store::GraphStore;
 
 /// Committed ops accumulated before a commit also compacts the write-ahead
 /// log into a fresh v2 snapshot.
 pub const COMPACT_OPS: u64 = 256;
 
-/// Per-slot mutation state: pending ops, the write-ahead log, and the
+/// Per-slot mutation state: staged ops, the write-ahead log, and the
 /// incrementally maintained index. Lives inside the registry slot and is
 /// taken out (never locked over I/O) for the duration of one mutation.
 #[derive(Debug)]
 pub struct DeltaSlot {
-    /// Staged, uncommitted ops in application order.
-    pub(crate) pending: Vec<EdgeOp>,
+    /// The staged, uncommitted ops over the slot's committed graph. Built
+    /// at the first stage after a commit and dropped by the commit, the
+    /// only step that changes the slot's graph.
+    pub(crate) staged: Option<DeltaOverlay<GraphStore>>,
     /// The durable log; `None` for in-memory datasets (`insert_graph`),
     /// whose mutations are valid but not crash-durable.
     pub(crate) wal: Option<DeltaLog>,
@@ -80,7 +87,7 @@ pub struct DeltaSlot {
 impl Default for DeltaSlot {
     fn default() -> DeltaSlot {
         DeltaSlot {
-            pending: Vec::new(),
+            staged: None,
             wal: None,
             index: None,
             committed_ops: 0,
@@ -92,13 +99,19 @@ impl Default for DeltaSlot {
 impl DeltaSlot {
     /// Heap bytes this slot's mutation state keeps resident: the
     /// maintained index (dominant after the first commit) plus the staged
-    /// op buffer. Counted by [`Engine::resident_bytes`], so a mutating
-    /// dataset pressures the LRU budget like any other resident state.
+    /// ops, each holding one op and at most one flipped edge. Counted by
+    /// [`Engine::resident_bytes`], so a mutating dataset pressures the LRU
+    /// budget like any other resident state.
     ///
     /// [`Engine::resident_bytes`]: crate::Engine::resident_bytes
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.index.as_ref().map_or(0, DeltaIndex::heap_bytes)
-            + self.pending.capacity() * std::mem::size_of::<EdgeOp>()
+        let per_op = std::mem::size_of::<EdgeOp>() + std::mem::size_of::<(VertexId, VertexId)>();
+        self.index.as_ref().map_or(0, DeltaIndex::heap_bytes) + self.pending().len() * per_op
+    }
+
+    /// Staged, uncommitted ops in application order.
+    pub(crate) fn pending(&self) -> &[EdgeOp] {
+        self.staged.as_ref().map_or(&[], DeltaOverlay::pending)
     }
 
     fn with_wal(wal: DeltaLog, committed_ops: u64) -> DeltaSlot {
@@ -127,27 +140,22 @@ pub struct CommitSummary {
     pub compacted: bool,
 }
 
-/// Validates `op` against the committed graph plus already-pending ops,
-/// write-ahead-logs it, and buffers it. Runs with no registry guard live.
+/// Checks `op` against the committed graph plus the staged ops,
+/// write-ahead-logs it, and records it. An op whose append fails is
+/// neither logged nor staged. Runs with no registry guard live.
 fn stage_op(dataset: &Dataset, delta: &mut DeltaSlot, op: EdgeOp) -> Result<usize, EngineError> {
-    let mut overlay = DeltaOverlay::new(dataset.graph());
-    for prev in &delta.pending {
-        // Pending ops were valid when staged and the base graph has not
-        // changed since (commits drain pending first), so replay succeeds;
-        // a failure here means slot state diverged and must surface.
-        overlay.apply(*prev).map_err(|e| {
-            EngineError::Internal(format!("pending op {prev:?} stopped applying: {e}"))
-        })?;
-    }
-    overlay.apply(op)?;
+    let staged = delta
+        .staged
+        .get_or_insert_with(|| DeltaOverlay::new(dataset.graph().clone()));
+    staged.check(op)?;
     if let Some(wal) = delta.wal.as_mut() {
         wal.append(&op)?;
     }
-    delta.pending.push(op);
-    Ok(delta.pending.len())
+    staged.apply(op)?;
+    Ok(staged.pending().len())
 }
 
-/// Folds the pending ops into the maintained index, materializes the
+/// Folds the staged ops into the maintained index, materializes the
 /// mutated graph, and (past the threshold) compacts the log into a v2
 /// snapshot. Runs with no registry guard live.
 fn commit_ops(
@@ -156,7 +164,7 @@ fn commit_ops(
     policy: &ExecPolicy,
 ) -> Result<(Dataset, CommitSummary), EngineError> {
     let _span = bestk_obs::span!("phase.delta.commit");
-    if delta.pending.is_empty() {
+    if delta.pending().is_empty() {
         return Err(EngineError::Mutation("nothing staged to commit".into()));
     }
     // The first commit reads the whole committed graph to seed the index,
@@ -177,7 +185,7 @@ fn commit_ops(
         // later commit repairs it incrementally.
         None => DeltaIndex::build_with(dataset.graph(), policy),
     };
-    for op in &delta.pending {
+    for op in delta.pending() {
         if let Err(e) = index.apply(op) {
             // Staged ops were validated against this exact base; reaching
             // here means the slot diverged. The index stays dropped so the
@@ -187,8 +195,8 @@ fn commit_ops(
             )));
         }
     }
-    let ops = delta.pending.len();
-    delta.pending.clear();
+    let ops = delta.pending().len();
+    delta.staged = None;
     delta.committed_ops += ops as u64;
     bestk_obs::counter("delta.commits").inc();
     let graph = index.to_csr();
@@ -336,10 +344,10 @@ fn quarantine_wal(wal_path: &str) -> Result<(), EngineError> {
 }
 
 impl SharedEngine {
-    /// Stages one edge mutation against the named dataset: validated
-    /// against the committed graph plus pending ops, write-ahead-logged,
-    /// buffered until [`commit_edges`](Self::commit_edges). Returns the
-    /// number of pending ops. The registry lock is held only to take the
+    /// Stages one edge mutation against the named dataset: checked
+    /// against the committed graph plus the staged ops, write-ahead-logged,
+    /// then held until [`commit_edges`](Self::commit_edges). Returns the
+    /// number of staged ops. The registry lock is held only to take the
     /// slot's delta state out and put it back.
     pub fn stage_edge(&self, name: &str, op: EdgeOp) -> Result<usize, EngineError> {
         let (dataset, mut delta) = self.guard().delta_checkout(name)?;
@@ -661,6 +669,76 @@ mod tests {
         for f in [snap, wal] {
             let _ = std::fs::remove_file(f);
         }
+    }
+
+    #[test]
+    fn a_failed_append_neither_logs_nor_stages_the_op() {
+        use bestk_faults::{sites, Fault, FaultPlan, SiteSpec};
+        let dir = temp_dir("failed-append");
+        let snap = dir.join("g.bestk");
+        let wal = dir.join("g.bestk.wal");
+        let mut ds = Dataset::from_graph(generators::paper_figure2());
+        ds.ensure_built(&policy());
+        crate::save_snapshot_v2_path(&ds, &snap).unwrap();
+        for fault in [Fault::IoError, Fault::Truncate] {
+            let _ = std::fs::remove_file(&wal);
+            let eng = SharedEngine::with_budget(None);
+            load(&eng, &snap).unwrap();
+            let plan = FaultPlan::new(1).site(
+                sites::DELTA_WAL_APPEND,
+                SiteSpec::always(fault).with_budget(1),
+            );
+            bestk_faults::with_plan(&plan, || {
+                assert!(eng.stage_edge("g", EdgeOp::Insert(0, 11)).is_err());
+            });
+            assert_eq!(eng.pending_ops("g").unwrap(), 0, "{fault:?}");
+            assert_eq!(eng.stage_edge("g", EdgeOp::Insert(0, 11)).unwrap(), 1);
+            eng.commit_edges("g", &policy()).unwrap();
+            let live = eng.query("g", &Query::Stats, &policy()).unwrap().to_line();
+            let fresh = SharedEngine::with_budget(None);
+            load(&fresh, &snap).unwrap();
+            assert_eq!(
+                fresh
+                    .query("g", &Query::Stats, &policy())
+                    .unwrap()
+                    .to_line(),
+                live,
+                "{fault:?}"
+            );
+        }
+        for f in [snap, wal] {
+            let _ = std::fs::remove_file(f);
+        }
+    }
+
+    #[test]
+    fn staged_ops_keep_their_base_across_dataset_swaps() {
+        let eng = SharedEngine::with_budget(Some(1));
+        eng.insert_graph("g", generators::paper_figure2());
+        eng.insert_graph("other", generators::erdos_renyi_gnm(60, 200, 2));
+        eng.stage_edge("g", EdgeOp::Insert(0, 11)).unwrap();
+        // The out-of-lock build publishes a new dataset handle for `g`, and
+        // touching `other` under the 1-byte budget evicts `g`'s artifacts.
+        eng.query("g", &Query::Stats, &policy()).unwrap();
+        eng.query("other", &Query::Stats, &policy()).unwrap();
+        assert!(!eng.dataset_rows()[0].built, "g must be evicted");
+        eng.stage_edge("g", EdgeOp::Insert(1, 10)).unwrap();
+        eng.commit_edges("g", &policy()).unwrap();
+        let mut b = bestk_graph::GraphBuilder::new();
+        b.reserve_vertices(12);
+        for (u, v) in generators::paper_figure2().edges() {
+            b.add_edge(u, v);
+        }
+        b.add_edge(0, 11);
+        b.add_edge(1, 10);
+        let cold = SharedEngine::with_budget(None);
+        cold.insert_graph("want", b.build());
+        assert_eq!(
+            eng.query("g", &Query::Stats, &policy()).unwrap().to_line(),
+            cold.query("want", &Query::Stats, &policy())
+                .unwrap()
+                .to_line()
+        );
     }
 
     #[test]

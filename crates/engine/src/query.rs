@@ -263,6 +263,13 @@ mod tests {
     }
 
     #[test]
+    fn metric_lookup() {
+        assert_eq!(metric_by_abbrev("ad").unwrap(), Metric::AverageDegree);
+        assert_eq!(metric_by_abbrev("sep").unwrap(), Metric::Separability);
+        assert!(metric_by_abbrev("xyz").is_err());
+    }
+
+    #[test]
     fn answers_render_tab_separated() {
         let a = Answer::BestKSet {
             metric: Metric::AverageDegree,

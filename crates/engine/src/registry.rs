@@ -39,16 +39,11 @@ pub struct SharedEngine {
 }
 
 impl SharedEngine {
-    /// Wraps an engine for shared use.
-    pub fn new(engine: Engine) -> SharedEngine {
-        SharedEngine {
-            inner: Mutex::new(engine),
-        }
-    }
-
     /// Creates a shared engine with an optional artifact memory budget.
     pub fn with_budget(budget_bytes: Option<usize>) -> SharedEngine {
-        SharedEngine::new(Engine::new(budget_bytes))
+        SharedEngine {
+            inner: Mutex::new(Engine::new(budget_bytes)),
+        }
     }
 
     /// Locks the registry. Poisoning is ignored: the critical sections in
@@ -61,14 +56,6 @@ impl SharedEngine {
     pub fn guard(&self) -> MutexGuard<'_, Engine> {
         match self.inner.lock() {
             Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Consumes the wrapper, returning the inner engine.
-    pub fn into_inner(self) -> Engine {
-        match self.inner.into_inner() {
-            Ok(e) => e,
             Err(poisoned) => poisoned.into_inner(),
         }
     }
@@ -325,13 +312,5 @@ mod tests {
         for f in [snap, source, quarantine, wal] {
             std::fs::remove_file(f).ok();
         }
-    }
-
-    #[test]
-    fn into_inner_returns_the_engine() {
-        let shared = SharedEngine::with_budget(None);
-        shared.insert_graph("g", generators::paper_figure2());
-        let eng = shared.into_inner();
-        assert_eq!(eng.len(), 1);
     }
 }
