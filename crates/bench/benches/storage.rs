@@ -7,7 +7,9 @@
 //!   (header + profile checksums only) plus one answer, the near-instant
 //!   cold-start path;
 //! * `storage/scan_<store>`   — full neighbor-scan throughput per store
-//!   (csr / mapped), the price of each representation's reads.
+//!   (csr / mapped), the price of each representation's reads;
+//! * `storage/parse_edge_list` — `read_auto_path` on the same graph written
+//!   as a SNAP text edge list, the parse every text ingest pays.
 //!
 //! With `BESTK_BENCH_JSON` set, all records land in the JSON report.
 
@@ -15,7 +17,7 @@ use bestk_bench::Bench;
 use bestk_core::Metric;
 use bestk_engine::{open_snapshot_v2, save_snapshot_v2_path, Dataset, GraphStore, Query};
 use bestk_exec::ExecPolicy;
-use bestk_graph::{generators, GraphView};
+use bestk_graph::{generators, io, GraphView};
 
 /// Sums every adjacency entry through the `GraphView` seam — the
 /// representative read pattern (the peel and the metric sweeps are all
@@ -54,6 +56,20 @@ fn main() {
     let query = Query::BestKSet {
         metric: Metric::AverageDegree,
     };
+
+    let text_path = dir.join("er.txt");
+    io::write_edge_list_path(&g, &text_path).expect("write edge list");
+    let text_bytes = std::fs::metadata(&text_path).expect("edge list size").len();
+    assert_eq!(
+        io::read_auto_path(&text_path)
+            .expect("parse edge list")
+            .num_edges(),
+        g.num_edges(),
+        "text round trip diverged"
+    );
+    b.run_elements("storage/parse_edge_list", text_bytes, || {
+        io::read_auto_path(&text_path).expect("parse edge list")
+    });
 
     b.run("storage/cold_open_v2", || {
         let ds = open_snapshot_v2(&v2_path).expect("v2 open");

@@ -33,7 +33,7 @@ use bestk_core::{
 };
 use bestk_exec::ExecPolicy;
 use bestk_graph::generators::EdgeOp;
-use bestk_graph::{cast, CsrGraph, GraphBuilder, GraphView, VertexId};
+use bestk_graph::{cast, CsrGraph, GraphView, VertexId};
 
 use crate::DeltaError;
 
@@ -248,19 +248,11 @@ impl DeltaIndex {
         self.profile().try_best(&metric)
     }
 
-    /// Materializes the maintained graph as a canonical [`CsrGraph`].
+    /// Materializes the maintained graph as a canonical [`CsrGraph`]. The
+    /// rank-ordered lists are symmetric and duplicate-free, so one
+    /// transpose pass sorts them by id.
     pub fn to_csr(&self) -> CsrGraph {
-        let mut b = GraphBuilder::with_capacity(self.m);
-        b.reserve_vertices(self.n);
-        for (w, list) in self.adj.iter().enumerate() {
-            let w = cast::vertex_id(w);
-            for &x in list {
-                if w < x {
-                    b.add_edge(w, x);
-                }
-            }
-        }
-        b.build()
+        CsrGraph::from_symmetric_lists(&self.adj)
     }
 
     fn validate(&self, op: &EdgeOp) -> Result<(), DeltaError> {
@@ -524,7 +516,7 @@ fn merged(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bestk_graph::generators;
+    use bestk_graph::{generators, GraphBuilder};
 
     /// Applies each op, asserting full structural equality against a
     /// from-scratch rebuild of the mutated graph after every step.

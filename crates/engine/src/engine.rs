@@ -309,7 +309,7 @@ impl Engine {
         } else {
             let artifacts = Artifacts::build(checked.graph(), policy);
             let built = Arc::new(checked.with_artifacts(artifacts));
-            self.install_artifacts(name, &built);
+            self.install_artifacts(name, &checked, &built);
             (built, true)
         };
         // Panic isolation: a panic anywhere in answering (including one
@@ -341,12 +341,14 @@ impl Engine {
     }
 
     /// Publishes artifacts built outside the registry (copy-on-write): the
-    /// slot's dataset is replaced with the built handle unless the slot is
-    /// gone or already built (a racing builder won — its artifacts are
-    /// equivalent, so the late copy is simply dropped). Pure bookkeeping.
-    pub fn install_artifacts(&mut self, name: &str, built: &Arc<Dataset>) {
+    /// slot's dataset is replaced with `built` only while the slot still
+    /// holds `checked`, the handle the build started from. Otherwise the
+    /// late build is dropped: a racing builder won (its artifacts are
+    /// equivalent), a commit installed a newer graph, or the slot is gone.
+    /// Pure bookkeeping.
+    pub fn install_artifacts(&mut self, name: &str, checked: &Arc<Dataset>, built: &Arc<Dataset>) {
         if let Some(slot) = self.slots.get_mut(name) {
-            if !slot.dataset.is_built() {
+            if Arc::ptr_eq(&slot.dataset, checked) {
                 slot.dataset = Arc::clone(built);
             }
         }

@@ -228,6 +228,12 @@ fn commit_ops(
 /// Writes the committed dataset as a v2 snapshot beside the log (temp
 /// file then rename, so live mappings of the old snapshot stay valid),
 /// then truncates the log back to its header.
+///
+/// The commit is already durable, so a snapshot that cannot be written
+/// does not undo it: the old snapshot plus the log still replay to the
+/// committed state. The failure is counted, the commit reports no
+/// compaction, and the committed-op count stays, so the next commit
+/// retries.
 fn compact(
     dataset: &mut Dataset,
     delta: &mut DeltaSlot,
@@ -246,8 +252,13 @@ fn compact(
     };
     dataset.ensure_built(policy);
     let tmp = snap.with_extension("bestk.compact");
-    crate::save_snapshot_v2_path(dataset, &tmp)?;
-    std::fs::rename(&tmp, &snap)?;
+    let written = crate::save_snapshot_v2_path(dataset, &tmp)
+        .and_then(|()| std::fs::rename(&tmp, &snap).map_err(EngineError::from));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+        bestk_obs::counter("delta.compaction_failures").inc();
+        return Ok(false);
+    }
     wal.reset()?;
     delta.committed_ops = 0;
     bestk_obs::counter("delta.compactions").inc();
@@ -706,6 +717,66 @@ mod tests {
                 "{fault:?}"
             );
         }
+        for f in [snap, wal] {
+            let _ = std::fs::remove_file(f);
+        }
+    }
+
+    #[test]
+    fn a_failed_compaction_keeps_the_durable_commit() {
+        use bestk_faults::{sites, Fault, FaultPlan, SiteSpec};
+        let dir = temp_dir("failed-compaction");
+        let snap = dir.join("g.bestk");
+        let wal = dir.join("g.bestk.wal");
+        let quarantine = dir.join("g.bestk.wal.quarantine");
+        for stale in [&wal, &quarantine] {
+            let _ = std::fs::remove_file(stale);
+        }
+        let mut ds = Dataset::from_graph(generators::paper_figure2());
+        ds.ensure_built(&policy());
+        crate::save_snapshot_v2_path(&ds, &snap).unwrap();
+        let stats = |eng: &SharedEngine| eng.query("g", &Query::Stats, &policy()).unwrap();
+
+        let eng = SharedEngine::with_budget(None);
+        load(&eng, &snap).unwrap();
+        {
+            let mut guard = eng.guard();
+            let (_, mut delta) = guard.delta_checkout("g").unwrap();
+            delta.compact_after = 2;
+            guard.delta_restore("g", delta);
+        }
+        eng.stage_edge("g", EdgeOp::Insert(0, 11)).unwrap();
+        assert_eq!(eng.commit_edges("g", &policy()).unwrap().edges, 20);
+        // The second commit reaches the threshold, and its snapshot write
+        // fails after the commit marker is durable.
+        eng.stage_edge("g", EdgeOp::Insert(1, 10)).unwrap();
+        let plan = FaultPlan::new(1).site(
+            sites::SNAPSHOT_WRITE,
+            SiteSpec::always(Fault::IoError).with_budget(1),
+        );
+        let clock = std::sync::Arc::new(bestk_obs::ManualClock::with_step(1));
+        let (summary, recorded) = bestk_obs::with_fresh(clock, || {
+            bestk_faults::with_plan(&plan, || eng.commit_edges("g", &policy()))
+        });
+        let summary = summary.unwrap();
+        assert_eq!((summary.edges, summary.compacted), (21, false));
+        assert_eq!(recorded.counter("delta.compaction_failures"), Some(1));
+        assert!(
+            stats(&eng).to_line().starts_with("stats\tn=12\tm=21\t"),
+            "{}",
+            stats(&eng).to_line()
+        );
+        let err = eng.stage_edge("g", EdgeOp::Insert(1, 10)).unwrap_err();
+        assert!(matches!(err, EngineError::Mutation(_)), "{err}");
+        // The old snapshot plus the log replay to the committed state.
+        let fresh = SharedEngine::with_budget(None);
+        load(&fresh, &snap).unwrap();
+        assert_eq!(stats(&fresh), stats(&eng));
+        drop(fresh);
+        assert!(!quarantine.exists(), "the log must replay cleanly");
+        // The next commit retries the compaction.
+        eng.stage_edge("g", EdgeOp::Insert(2, 10)).unwrap();
+        assert!(eng.commit_edges("g", &policy()).unwrap().compacted);
         for f in [snap, wal] {
             let _ = std::fs::remove_file(f);
         }

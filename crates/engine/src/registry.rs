@@ -153,7 +153,7 @@ impl SharedEngine {
         } else {
             let artifacts = Artifacts::build(checked.graph(), policy);
             let built = Arc::new(checked.with_artifacts(artifacts));
-            self.guard().install_artifacts(name, &built);
+            self.guard().install_artifacts(name, &checked, &built);
             (built, true)
         };
         // Panic isolation happens with no guard live: a worker panic is
@@ -312,5 +312,21 @@ mod tests {
         for f in [snap, source, quarantine, wal] {
             std::fs::remove_file(f).ok();
         }
+    }
+
+    #[test]
+    fn a_late_build_never_reverts_a_commit() {
+        use bestk_graph::generators::EdgeOp;
+        let eng = SharedEngine::with_budget(None);
+        eng.insert_graph("g", generators::paper_figure2());
+        // A query checks the dataset out; a commit lands before it publishes.
+        let checked = eng.guard().checkout("g").unwrap();
+        eng.stage_edge("g", EdgeOp::Insert(0, 11)).unwrap();
+        eng.commit_edges("g", &policy()).unwrap();
+        let built = Arc::new(checked.with_artifacts(Artifacts::build(checked.graph(), &policy())));
+        eng.guard().install_artifacts("g", &checked, &built);
+        let stats = eng.query("g", &Query::Stats, &policy()).unwrap().to_line();
+        assert!(stats.starts_with("stats\tn=12\tm=20\t"), "{stats}");
+        eng.stage_edge("g", EdgeOp::Delete(0, 11)).unwrap();
     }
 }

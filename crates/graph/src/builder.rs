@@ -4,14 +4,11 @@
 //! relaxed `fetch_add` on disjoint-by-value counters; addition commutes, so
 //! the totals are schedule-invariant and identical to the sequential path.
 
-use crate::cast;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bestk_exec::ExecPolicy;
 
 use crate::csr::{CsrGraph, VertexId};
-use crate::error::GraphError;
 
 /// Deduplicating builder that turns an arbitrary stream of undirected edges
 /// into a [`CsrGraph`].
@@ -215,37 +212,6 @@ fn counting_sort_by<T: Copy>(items: Vec<T>, buckets: usize, key: impl Fn(&T) -> 
     out
 }
 
-/// Builds a [`CsrGraph`] from edges over an arbitrary sparse id universe
-/// (e.g. raw SNAP vertex ids), remapping ids densely in first-seen order.
-///
-/// Returns the graph together with the mapping `dense id -> original id`.
-pub fn build_relabeled(
-    edges: impl IntoIterator<Item = (u64, u64)>,
-) -> Result<(CsrGraph, Vec<u64>), GraphError> {
-    let mut map: HashMap<u64, VertexId> = HashMap::new();
-    let mut original: Vec<u64> = Vec::new();
-    let mut b = GraphBuilder::new();
-    for (u, v) in edges {
-        let mut id_of = |x: u64| -> Result<VertexId, GraphError> {
-            if let Some(&id) = map.get(&x) {
-                return Ok(id);
-            }
-            let next = original.len();
-            if next > u32::MAX as usize {
-                return Err(GraphError::TooManyVertices(next as u64 + 1));
-            }
-            let id = cast::vertex_id(next);
-            map.insert(x, id);
-            original.push(x);
-            Ok(id)
-        };
-        let du = id_of(u)?;
-        let dv = id_of(v)?;
-        b.add_edge(du, dv);
-    }
-    Ok((b.build(), original))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,15 +279,6 @@ mod tests {
         b.add_edge(0, 1);
         b.add_edge(1, 1); // dropped
         assert_eq!(b.pending_edges(), 1);
-    }
-
-    #[test]
-    fn relabeled_build_maps_sparse_ids() {
-        let (g, orig) = build_relabeled(vec![(100, 7), (7, 55), (55, 100)]).unwrap();
-        assert_eq!(g.num_vertices(), 3);
-        assert_eq!(g.num_edges(), 3);
-        assert_eq!(orig, vec![100, 7, 55]);
-        assert!(g.validate().is_ok());
     }
 
     #[test]

@@ -90,6 +90,43 @@ impl CsrGraph {
         Ok(CsrGraph { offsets, neighbors })
     }
 
+    /// Assembles a graph from per-vertex neighbor lists, in any order
+    /// within a list, that are symmetric (`x` is in `lists[w]` exactly when
+    /// `w` is in `lists[x]`) and hold no duplicate or self loop.
+    ///
+    /// One transpose pass in `O(n + m)`: the offsets come from the list
+    /// lengths, then each `w` in ascending order is appended to the list of
+    /// every `x` in `lists[w]`, so every list comes out sorted by id with no
+    /// sort.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a neighbor id is out of range or the lists are not
+    /// symmetric (the transpose then overruns or underfills a list).
+    pub fn from_symmetric_lists(lists: &[Vec<VertexId>]) -> Self {
+        let mut offsets = Vec::with_capacity(lists.len() + 1);
+        let mut acc = 0usize;
+        offsets.push(0);
+        for list in lists {
+            acc += list.len();
+            offsets.push(acc);
+        }
+        let mut cursor = offsets[..lists.len()].to_vec();
+        let mut neighbors: Vec<VertexId> = vec![0; acc];
+        for (w, list) in lists.iter().enumerate() {
+            let w = cast::vertex_id(w);
+            for &x in list {
+                let slot = &mut cursor[x as usize];
+                neighbors[*slot] = w;
+                *slot += 1;
+            }
+        }
+        assert!(cursor == offsets[1..], "neighbor lists are not symmetric");
+        let g = CsrGraph { offsets, neighbors };
+        debug_assert_eq!(g.validate(), Ok(()));
+        g
+    }
+
     /// An empty graph with `n` isolated vertices.
     pub fn empty(n: usize) -> Self {
         CsrGraph {
@@ -335,6 +372,21 @@ mod tests {
     #[should_panic(expected = "non-decreasing")]
     fn from_parts_rejects_decreasing_offsets() {
         CsrGraph::from_parts(vec![0, 2, 1, 3], vec![1, 2, 0]);
+    }
+
+    #[test]
+    fn from_symmetric_lists_matches_the_builder() {
+        let lists = vec![vec![2, 1], vec![0], vec![3, 0], vec![2], vec![]];
+        let mut b = GraphBuilder::new();
+        b.extend_edges([(0, 1), (0, 2), (2, 3)]);
+        b.reserve_vertices(5);
+        assert_eq!(CsrGraph::from_symmetric_lists(&lists), b.build());
+    }
+
+    #[test]
+    #[should_panic(expected = "not symmetric")]
+    fn from_symmetric_lists_rejects_asymmetric_lists() {
+        CsrGraph::from_symmetric_lists(&[vec![1u32, 2], vec![], vec![0]]);
     }
 
     #[test]

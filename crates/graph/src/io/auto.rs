@@ -25,12 +25,13 @@ pub fn read_auto_path<P: AsRef<Path>>(path: P) -> Result<CsrGraph> {
     let mut file = std::fs::File::open(p).map_err(GraphError::Io)?;
     let mut magic = [0u8; 8];
     let read = read_up_to(&mut file, &mut magic)?;
-    // Reopen so the chosen reader sees the stream from the start.
-    let file = std::fs::File::open(p).map_err(GraphError::Io)?;
-    if read == 8 && &magic == b"BESTKGR1" {
-        read_binary(file)
+    // The chosen reader sees the sniffed bytes first, then the rest of the
+    // same open file.
+    let stream = (&magic[..read]).chain(file);
+    if &magic[..read] == b"BESTKGR1" {
+        read_binary(stream)
     } else {
-        let (g, _) = read_edge_list(file)?;
+        let (g, _) = read_edge_list(stream)?;
         Ok(g)
     }
 }

@@ -54,7 +54,7 @@ pub mod verify;
 mod view;
 pub mod weighted;
 
-pub use builder::{build_relabeled, GraphBuilder};
+pub use builder::GraphBuilder;
 pub use bytecsr::ByteCsr;
 pub use csr::{CsrGraph, EdgeIter, VertexId};
 pub use error::GraphError;

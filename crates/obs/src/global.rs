@@ -79,6 +79,12 @@ pub fn snapshot() -> Snapshot {
 /// running tests cannot observe each other's registries.
 pub fn with_fresh<R>(clock: Arc<dyn Clock>, f: impl FnOnce() -> R) -> (R, Snapshot) {
     let _gate = lock(&TEST_GATE);
+    swap_in_fresh(clock, f)
+}
+
+/// The body of [`with_fresh`], for a caller that already holds
+/// `TEST_GATE`.
+fn swap_in_fresh<R>(clock: Arc<dyn Clock>, f: impl FnOnce() -> R) -> (R, Snapshot) {
     let fresh = Arc::new(MetricsRegistry::new());
     // bestk-analyze: allow(lock-nested) — documented order TEST_GATE -> STATE, the only nesting
     let previous = lock(&STATE).replace(GlobalState {
@@ -102,10 +108,15 @@ mod tests {
     use super::*;
     use crate::clock::ManualClock;
 
+    // These two tests read the registry before and after a swap, so they
+    // hold the gate across all three steps: otherwise a concurrent
+    // `with_fresh` caller's registry could be the one read as `before`.
+
     #[test]
     fn with_fresh_captures_and_restores() {
+        let _gate = lock(&TEST_GATE);
         let before = registry();
-        let ((), snap) = with_fresh(Arc::new(ManualClock::with_step(1)), || {
+        let ((), snap) = swap_in_fresh(Arc::new(ManualClock::with_step(1)), || {
             counter("t.hits").inc();
             counter("t.hits").inc();
         });
@@ -119,9 +130,10 @@ mod tests {
 
     #[test]
     fn with_fresh_restores_on_panic() {
+        let _gate = lock(&TEST_GATE);
         let before = registry();
         let caught = std::panic::catch_unwind(|| {
-            with_fresh(Arc::new(ManualClock::with_step(1)), || {
+            swap_in_fresh(Arc::new(ManualClock::with_step(1)), || {
                 counter("t.boom").inc();
                 panic!("boom");
             })
