@@ -4,11 +4,11 @@
 //! graph absorbing single-edge commits (see DESIGN.md §15 "Edge streams"):
 //!
 //! * `delta/rebuild_and_select`         — `DeltaIndex::build` from scratch
-//!   plus one best-k selection, the cost a non-incremental engine pays on
-//!   every commit;
+//!   plus one best-k selection: a peel, Alg. 1 and Alg. 2, without the
+//!   triangles, forest and core profile of the engine's per-commit build;
 //! * `delta/edge_commit_pair_and_select` — toggle one edge in and back out
 //!   through the maintained index, selecting best-k after each op: two
-//!   single-edge commits' worth of affected-region repair;
+//!   ops' worth of subcore repair;
 //! * `delta/stream_mixed_2k`            — sustained throughput over a
 //!   mixed insert/delete stream applied forward and then undone in
 //!   reverse (so every iteration starts from the same state);

@@ -1,18 +1,19 @@
-//! [`DeltaIndex`]: the paper's best-k index, maintained incrementally.
+//! [`DeltaIndex`]: the paper's best-k index, maintained per edge op.
 //!
 //! A from-scratch pipeline run (peel → Alg. 1 order/tags → Alg. 2 sweep)
 //! costs `O(m)` per query graph. This module keeps every piece of that
 //! state — coreness, the `(coreness, id)` shell order, the per-vertex
 //! `(same, plus, high)` position tags, and the per-`k` primary values —
-//! valid across single-edge inserts and deletes in time proportional to
-//! the *affected region*, not the graph:
+//! valid across single-edge inserts and deletes without a rebuild:
 //!
 //! 1. **Coreness** (Montresor et al., `PAPERS.md`): an edge touching
 //!    levels `r = min(c(u), c(v))` changes coreness only for vertices of
 //!    coreness exactly `r`, each by at most 1, and only inside the
 //!    *subcore* — the `c == r` connected region around the endpoints. The
-//!    candidate search walks that region; a local peel (`cd(w) =
-//!    |{x ∈ N(w): c(x) ≥ r}|`, cascading) decides who moves.
+//!    candidate search walks that whole region, however few vertices
+//!    move, so an op costs the subcore's volume, not the changed set's; a
+//!    local peel (`cd(w) = |{x ∈ N(w): c(x) ≥ r}|`, cascading) decides who
+//!    moves.
 //! 2. **Order and tags**: the changed set `C` moves between two *adjacent*
 //!    shells, so the `(coreness, id)` order is repaired with one span
 //!    rewrite between two shell boundaries. Adjacency lists (kept in rank
@@ -25,6 +26,12 @@
 //! Every structure is bit-identical to a from-scratch rebuild after every
 //! op (`DeltaIndex` is `PartialEq` and the equivalence suite compares
 //! whole values); the full pipeline stays in the tree as the oracle.
+//!
+//! The engine does not use this index: a commit folds its staged ops with
+//! [`DeltaOverlay::materialize`](crate::DeltaOverlay::materialize) and
+//! builds the mutated graph's artifacts once. The index stays a library,
+//! driven by the `delta` bench, the equivalence suite and perfbench's
+//! traced side index.
 
 use bestk_core::bestkset::core_set_primaries;
 use bestk_core::{
@@ -81,8 +88,7 @@ impl DeltaIndex {
 
     /// [`build`](Self::build) under an execution policy: the peel fans out
     /// over the policy's workers (bit-identical output at every thread
-    /// count). The engine seeds a slot's index through it at the slot's
-    /// first commit, and again after a failed apply dropped the index.
+    /// count). perfbench seeds its traced side index through it.
     pub fn build_with<G: GraphView + Sync>(g: &G, policy: &ExecPolicy) -> DeltaIndex {
         let decomp = core_decomposition_with(g, policy);
         Self::assemble_from(g, decomp)
@@ -113,40 +119,9 @@ impl DeltaIndex {
         }
     }
 
-    /// Number of vertices.
-    pub fn num_vertices(&self) -> usize {
-        self.n
-    }
-
-    /// Number of edges.
-    pub fn num_edges(&self) -> usize {
-        self.m
-    }
-
     /// Largest coreness.
     pub fn kmax(&self) -> u32 {
         self.kmax
-    }
-
-    /// Approximate heap bytes held by the index: the per-vertex adjacency
-    /// lists plus every order/tag/primary vector. Counts *capacity* (what
-    /// the allocator actually holds), so memory-budget accounting sees
-    /// the true cost of keeping the index resident.
-    pub fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let adj_inner: usize = self
-            .adj
-            .iter()
-            .map(|l| l.capacity() * size_of::<VertexId>())
-            .sum();
-        adj_inner
-            + self.adj.capacity() * size_of::<Vec<VertexId>>()
-            + self.coreness.capacity() * size_of::<u32>()
-            + self.order.capacity() * size_of::<VertexId>()
-            + self.shell_start.capacity() * size_of::<usize>()
-            + (self.same.capacity() + self.plus.capacity() + self.high.capacity())
-                * size_of::<u32>()
-            + self.primaries.capacity() * size_of::<PrimaryValues>()
     }
 
     /// Coreness of `v`.

@@ -1,17 +1,22 @@
-//! Incremental best-k maintenance under edge streams.
+//! Edge streams: staged edge ops, their durable log, and best-k
+//! maintenance per op.
 //!
 //! The paper's pipeline (peel → order/tags → sweep) answers best-k queries
-//! over an *immutable* graph. This crate makes the index live under
-//! single-edge inserts and deletes, in three layers:
+//! over an *immutable* graph. This crate holds what mutating one takes, in
+//! three layers:
 //!
 //! * [`overlay`] — [`DeltaOverlay`], a slot's staged ops: validated edge
 //!   ops over any immutable [`GraphView`] backend, kept as the op list plus
-//!   the set of edges whose presence they flip, and materialized back into
-//!   canonical CSR when the load replays a log.
-//! * [`index`] — [`DeltaIndex`], the maintained pipeline state: coreness,
-//!   shell order, Alg. 1 tags, and Alg. 2 primaries, repaired per op in
-//!   time proportional to the affected region and bit-identical to a
-//!   from-scratch rebuild.
+//!   the set of edges whose presence they flip, and folded into canonical
+//!   CSR by [`DeltaOverlay::materialize`]. The engine's commit and its
+//!   load replay both fold through it, then build the mutated graph's
+//!   artifacts from scratch.
+//! * [`index`] — [`DeltaIndex`], the pipeline state maintained per op:
+//!   coreness, shell order, Alg. 1 tags, and Alg. 2 primaries, repaired
+//!   without a rebuild and bit-identical to one. Its coreness repair walks
+//!   the whole `c == r` subcore around each op. The engine does not use
+//!   it; the `delta` bench, the equivalence suite and perfbench's traced
+//!   side index do.
 //! * [`wal`] — [`DeltaLog`], the durable write-ahead delta log: staged ops
 //!   are checksummed and length-framed on disk, committed with an fsync'd
 //!   marker, replayed on load, and compacted into the next snapshot.

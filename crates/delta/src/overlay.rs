@@ -9,11 +9,15 @@
 //! from the base, nothing per vertex. So each `check` or `apply` of one op
 //! costs a base `has_edge` plus `O(log p)` set work for `p` ops applied so
 //! far, and the overlay holds `O(p)` heap however large the base is.
+//! [`DeltaOverlay::materialize`] is the one fold of staged ops into a
+//! graph: a commit and a log replay both go through it, at the cost of
+//! one copy of the base.
 
 use std::collections::BTreeSet;
 
 use bestk_graph::generators::EdgeOp;
-use bestk_graph::{CsrGraph, GraphBuilder, GraphView, VertexId};
+use bestk_graph::transform::flip_edges;
+use bestk_graph::{CsrGraph, GraphView, VertexId};
 
 use crate::DeltaError;
 
@@ -21,7 +25,7 @@ use crate::DeltaError;
 #[derive(Debug, Clone)]
 pub struct DeltaOverlay<G: GraphView> {
     base: G,
-    /// Applied ops in order (replayed into the WAL / the delta index).
+    /// Applied ops in order, as the write-ahead log holds them.
     ops: Vec<EdgeOp>,
     /// Edges, as `(min, max)`, whose presence differs from the base.
     flipped: BTreeSet<(VertexId, VertexId)>,
@@ -75,25 +79,11 @@ impl<G: GraphView> DeltaOverlay<G> {
         Ok(())
     }
 
-    /// Materializes the overlaid graph as a canonical [`CsrGraph`]: the
-    /// base's edges minus the flipped ones it holds, plus the flipped ones
-    /// it lacks.
+    /// Materializes the overlaid graph as a canonical [`CsrGraph`]: one
+    /// pass over the base that copies each list and patches only the lists
+    /// a flipped edge touches (see [`flip_edges`]).
     pub fn materialize(&self) -> CsrGraph {
-        let mut b = GraphBuilder::with_capacity(self.base.num_edges() + self.flipped.len());
-        b.reserve_vertices(self.base.num_vertices());
-        for u in self.base.vertices() {
-            for v in self.base.neighbors(u) {
-                if u < v && !self.flipped.contains(&(u, v)) {
-                    b.add_edge(u, v);
-                }
-            }
-        }
-        for &(u, v) in &self.flipped {
-            if !self.base.has_edge(u, v) {
-                b.add_edge(u, v);
-            }
-        }
-        b.build()
+        flip_edges(&self.base, self.flipped.iter().copied())
     }
 }
 

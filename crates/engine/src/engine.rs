@@ -3,8 +3,9 @@
 //!
 //! The engine owns every loaded [`Dataset`] keyed by name. Artifacts (the
 //! decomposition, ordering, forest, and profiles) are built lazily on first
-//! touch and counted, so a workload's build-vs-cache-hit ratio is
-//! observable. When the resident artifact bytes exceed the budget, the
+//! touch, or by the commit that produced the graph, and counted, so a
+//! workload's build-vs-cache-hit ratio is observable. When the resident
+//! artifact bytes exceed the budget, the
 //! least-recently-used dataset's artifacts are dropped — the graph itself
 //! stays resident, so an evicted dataset transparently rebuilds on its next
 //! touch (which counts as a fresh build, not a cache hit). The dataset
@@ -45,7 +46,8 @@ pub enum LoadOutcome {
 pub struct Counters {
     /// Datasets registered (graphs inserted or snapshots loaded).
     pub loads: u64,
-    /// Artifact builds (lazy first-touch builds and post-eviction rebuilds).
+    /// Artifact builds: lazy first-touch builds, post-eviction rebuilds,
+    /// one per commit, and a load that rebuilt from source.
     pub builds: u64,
     /// Queries answered against already-built artifacts.
     pub cache_hits: u64,
@@ -58,7 +60,7 @@ pub struct Counters {
 struct Slot {
     dataset: Arc<Dataset>,
     last_used: u64,
-    /// Mutation state (staged ops, write-ahead log, maintained index).
+    /// Mutation state (staged ops, write-ahead log, compaction counters).
     /// `Some` when idle; taken out (`None`) while a mutation is in flight
     /// so its I/O runs with no registry lock held — a second mutation
     /// arriving meanwhile gets a typed busy error instead of blocking.
@@ -128,9 +130,7 @@ impl Engine {
     }
 
     /// Total resident bytes across every dataset (graphs + artifacts),
-    /// plus each slot's mutation state — the maintained [`DeltaIndex`]
-    /// (`bestk_delta`) is real heap the budget must see, or a mutating
-    /// workload could dodge eviction entirely.
+    /// plus each slot's staged ops.
     pub fn resident_bytes(&self) -> usize {
         self.slots.values().map(Slot::resident_bytes).sum()
     }
@@ -226,12 +226,15 @@ impl Engine {
         }
     }
 
-    /// Installs the committed (mutated) dataset and returns the mutation
-    /// state to the slot. Not charged as a load: the slot keeps its
-    /// identity, only its graph advanced. Pure bookkeeping.
+    /// Installs the committed (mutated) dataset, built by the commit, and
+    /// returns the mutation state to the slot. Charged as a build, not a
+    /// load: the slot keeps its identity, only its graph advanced. Pure
+    /// bookkeeping.
     pub fn install_mutated(&mut self, name: &str, dataset: Dataset, delta: DeltaSlot) {
         self.clock += 1;
         let clock = self.clock;
+        self.counters.builds += 1;
+        bestk_obs::counter("engine.builds").inc();
         if let Some(slot) = self.slots.get_mut(name) {
             slot.dataset = Arc::new(dataset);
             slot.delta = Some(delta);

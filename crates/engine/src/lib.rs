@@ -26,9 +26,9 @@
 //!   count.
 //! - [`mutate`] — edge mutations under a stage → commit → compact
 //!   protocol: ops are validated against a `bestk-delta` overlay,
-//!   write-ahead-logged beside the snapshot, folded into an incrementally
-//!   maintained best-k index at commit, and compacted back into a v2
-//!   snapshot once enough commits accumulate.
+//!   write-ahead-logged beside the snapshot, folded into the mutated graph
+//!   at commit, which builds its artifacts once, and compacted back into a
+//!   v2 snapshot once enough commits accumulate.
 //!
 //! Query answers are rendered to stable tab-separated lines and batches
 //! run through [`bestk_exec::ExecPolicy`] with an ordered chunk merge, so

@@ -1,8 +1,8 @@
 //! Edge mutations through the engine: stage → commit → compact.
 //!
 //! The registry's datasets are immutable; mutation happens through a
-//! per-slot [`DeltaSlot`] holding the staged ops, the durable
-//! [`DeltaLog`], and the incrementally maintained [`DeltaIndex`]:
+//! per-slot [`DeltaSlot`] holding the staged ops and the durable
+//! [`DeltaLog`]:
 //!
 //! * **stage** ([`SharedEngine::stage_edge`]) checks the op against the
 //!   slot's [`DeltaOverlay`] (the committed graph plus the edges the
@@ -11,26 +11,26 @@
 //!   in the slot from the first stage after a commit until that commit, so
 //!   a stage costs the same however many ops are already staged.
 //! * **commit** ([`SharedEngine::commit_edges`]) appends the commit marker
-//!   and `fsync`s (the durability point), folds the staged ops into the
-//!   maintained [`DeltaIndex`] — affected-region work, not a rebuild —
-//!   materializes the mutated graph, and installs it as the slot's new
-//!   dataset. Full query artifacts (forest, triangle profiles) rebuild
-//!   lazily on the next query; the commit reply's best-k comes straight
-//!   from the maintained index.
+//!   and `fsync`s (the durability point), folds the staged overlay into
+//!   the mutated graph with [`DeltaOverlay::materialize`], builds that
+//!   graph's artifacts once, and installs both as the slot's new dataset.
+//!   The commit reply's best-k comes from those artifacts, and the next
+//!   query is a cache hit.
 //! * **compact**: once enough committed ops accumulate
-//!   ([`COMPACT_OPS`]), the commit also writes the folded state as a v2
-//!   snapshot next to the log (temp file + rename, so live mappings of the
-//!   old snapshot survive) and truncates the log back to its header.
+//!   ([`COMPACT_OPS`]), the commit also writes the committed dataset as a
+//!   v2 snapshot next to the log (temp file + rename, so live mappings of
+//!   the old snapshot survive) and truncates the log back to its header.
 //!
 //! Lock discipline matches the rest of the registry: the slot's
-//! `DeltaSlot` is *taken out* under the guard, all I/O and index work runs
+//! `DeltaSlot` is *taken out* under the guard, all I/O and build work runs
 //! with no guard live, and a second guard restores (or installs) the
 //! result. While a slot's delta is checked out, a concurrent mutation on
 //! the same dataset gets a typed `mutation rejected` error instead of
 //! blocking.
 //!
-//! On load the sibling `<snapshot>.wal` is replayed: committed ops
-//! re-apply on top of the loaded snapshot before the dataset is installed.
+//! On load the sibling `<snapshot>.wal` is replayed: committed ops fold
+//! into the loaded snapshot through the same [`DeltaOverlay::materialize`]
+//! before the dataset is installed.
 //! Both loads do this. [`SharedEngine::load_snapshot_with_fallback`]
 //! (serve `load`, `bestk mutate`) adopts the log for writing: it creates
 //! one if absent and cuts a torn or uncommitted tail, and an unreadable
@@ -41,20 +41,21 @@
 //! (`bestk query`) only reads the log: it writes no byte of it, and an
 //! unreadable or non-applying log is a typed error.
 //!
-//! Replay and a slot's first commit read the whole committed graph, so
-//! both first pay a mapped snapshot's deferred graph-section check (see
-//! [`crate::snapv2`]): a corrupt graph is a typed error, never replayed
-//! into a heap graph or compacted back over the snapshot.
+//! Replay and every commit copy the whole committed graph, so both first
+//! pay a mapped snapshot's deferred graph-section check (see
+//! [`crate::snapv2`]; a passed check is remembered per mapping): a corrupt
+//! graph is a typed error, never folded into a heap graph or compacted
+//! back over the snapshot.
 
 use std::path::PathBuf;
 
 use bestk_core::{BestKSet, Metric};
-use bestk_delta::{DeltaError, DeltaIndex, DeltaLog, DeltaOverlay};
+use bestk_delta::{DeltaError, DeltaLog, DeltaOverlay};
 use bestk_exec::ExecPolicy;
 use bestk_graph::generators::EdgeOp;
 use bestk_graph::VertexId;
 
-use crate::dataset::Dataset;
+use crate::dataset::{Artifacts, Dataset};
 use crate::error::EngineError;
 use crate::registry::SharedEngine;
 use crate::store::GraphStore;
@@ -63,9 +64,9 @@ use crate::store::GraphStore;
 /// log into a fresh v2 snapshot.
 pub const COMPACT_OPS: u64 = 256;
 
-/// Per-slot mutation state: staged ops, the write-ahead log, and the
-/// incrementally maintained index. Lives inside the registry slot and is
-/// taken out (never locked over I/O) for the duration of one mutation.
+/// Per-slot mutation state: the staged ops, the write-ahead log and the
+/// compaction counters. Lives inside the registry slot and is taken out
+/// (never locked over I/O) for the duration of one mutation.
 #[derive(Debug)]
 pub struct DeltaSlot {
     /// The staged, uncommitted ops over the slot's committed graph. Built
@@ -75,9 +76,6 @@ pub struct DeltaSlot {
     /// The durable log; `None` for in-memory datasets (`insert_graph`),
     /// whose mutations are valid but not crash-durable.
     pub(crate) wal: Option<DeltaLog>,
-    /// The maintained best-k index over the *committed* graph. Built on
-    /// the first commit, then repaired per op across later ones.
-    pub(crate) index: Option<DeltaIndex>,
     /// Committed ops since the last compaction.
     pub(crate) committed_ops: u64,
     /// Compaction threshold (the constant, overridable in tests).
@@ -89,7 +87,6 @@ impl Default for DeltaSlot {
         DeltaSlot {
             staged: None,
             wal: None,
-            index: None,
             committed_ops: 0,
             compact_after: COMPACT_OPS,
         }
@@ -97,8 +94,7 @@ impl Default for DeltaSlot {
 }
 
 impl DeltaSlot {
-    /// Heap bytes this slot's mutation state keeps resident: the
-    /// maintained index (dominant after the first commit) plus the staged
+    /// Heap bytes this slot's mutation state keeps resident: the staged
     /// ops, each holding one op and at most one flipped edge. Counted by
     /// [`Engine::resident_bytes`], so a mutating dataset pressures the LRU
     /// budget like any other resident state.
@@ -106,7 +102,7 @@ impl DeltaSlot {
     /// [`Engine::resident_bytes`]: crate::Engine::resident_bytes
     pub(crate) fn heap_bytes(&self) -> usize {
         let per_op = std::mem::size_of::<EdgeOp>() + std::mem::size_of::<(VertexId, VertexId)>();
-        self.index.as_ref().map_or(0, DeltaIndex::heap_bytes) + self.pending().len() * per_op
+        self.pending().len() * per_op
     }
 
     /// Staged, uncommitted ops in application order.
@@ -134,7 +130,7 @@ pub struct CommitSummary {
     pub edges: u64,
     /// Largest coreness of the committed graph.
     pub kmax: u32,
-    /// Best k under average degree, from the maintained index.
+    /// Best k under average degree, from the committed graph's artifacts.
     pub best: Option<BestKSet>,
     /// Whether this commit also compacted the log into a v2 snapshot.
     pub compacted: bool,
@@ -155,67 +151,48 @@ fn stage_op(dataset: &Dataset, delta: &mut DeltaSlot, op: EdgeOp) -> Result<usiz
     Ok(staged.pending().len())
 }
 
-/// Folds the staged ops into the maintained index, materializes the
-/// mutated graph, and (past the threshold) compacts the log into a v2
-/// snapshot. Runs with no registry guard live.
+/// Folds the staged ops into the mutated graph, builds its artifacts, and
+/// (past the threshold) compacts the log into a v2 snapshot. Runs with no
+/// registry guard live.
 fn commit_ops(
     dataset: &Dataset,
     delta: &mut DeltaSlot,
     policy: &ExecPolicy,
 ) -> Result<(Dataset, CommitSummary), EngineError> {
     let _span = bestk_obs::span!("phase.delta.commit");
-    if delta.pending().is_empty() {
+    let Some(staged) = delta.staged.as_ref().filter(|s| !s.pending().is_empty()) else {
         return Err(EngineError::Mutation("nothing staged to commit".into()));
-    }
-    // The first commit reads the whole committed graph to seed the index,
-    // and compaction may rewrite it under fresh checksums, so a mapped
-    // graph pays its deferred check first: a corrupt snapshot fails the
-    // commit before anything becomes durable.
-    if delta.index.is_none() {
-        crate::snapshot::check_graph(dataset)?;
-    }
+    };
+    // The fold copies the whole committed graph, and compaction may
+    // rewrite it under fresh checksums, so a mapped graph pays its deferred
+    // check first: a corrupt snapshot fails the commit before anything
+    // becomes durable.
+    crate::snapshot::check_graph(dataset)?;
     // Durability point: marker + fsync. On failure the ops stay staged and
     // the commit can be retried.
     if let Some(wal) = delta.wal.as_mut() {
         wal.commit()?;
     }
-    let mut index = match delta.index.take() {
-        Some(index) => index,
-        // First commit on this slot: seed the maintained index once; every
-        // later commit repairs it incrementally.
-        None => DeltaIndex::build_with(dataset.graph(), policy),
-    };
-    for op in delta.pending() {
-        if let Err(e) = index.apply(op) {
-            // Staged ops were validated against this exact base; reaching
-            // here means the slot diverged. The index stays dropped so the
-            // next commit reseeds from the dataset.
-            return Err(EngineError::Internal(format!(
-                "staged op {op:?} failed to apply: {e}"
-            )));
-        }
-    }
-    let ops = delta.pending().len();
+    let ops = staged.pending().len();
+    let graph = staged.materialize();
     delta.staged = None;
     delta.committed_ops += ops as u64;
     bestk_obs::counter("delta.commits").inc();
-    let graph = index.to_csr();
-    let best = index.best(Metric::AverageDegree).ok().flatten();
+    let artifacts = Artifacts::build(&graph, policy);
     let summary = CommitSummary {
         ops,
         vertices: graph.num_vertices() as u64,
         edges: graph.num_edges() as u64,
-        kmax: index.kmax(),
-        best,
+        kmax: artifacts.decomp.kmax(),
+        best: artifacts
+            .set_profile
+            .try_best(&Metric::AverageDegree)
+            .ok()
+            .flatten(),
         compacted: false,
     };
-    let mut committed = Dataset::from_graph(graph);
-    delta.index = Some(index);
-    let compacted = if delta.committed_ops >= delta.compact_after {
-        compact(&mut committed, delta, policy)?
-    } else {
-        false
-    };
+    let committed = Dataset::from_built(graph, artifacts);
+    let compacted = delta.committed_ops >= delta.compact_after && compact(&committed, delta)?;
     Ok((
         committed,
         CommitSummary {
@@ -234,11 +211,7 @@ fn commit_ops(
 /// committed state. The failure is counted, the commit reports no
 /// compaction, and the committed-op count stays, so the next commit
 /// retries.
-fn compact(
-    dataset: &mut Dataset,
-    delta: &mut DeltaSlot,
-    policy: &ExecPolicy,
-) -> Result<bool, EngineError> {
+fn compact(dataset: &Dataset, delta: &mut DeltaSlot) -> Result<bool, EngineError> {
     let Some(wal) = delta.wal.as_mut() else {
         return Ok(false);
     };
@@ -250,7 +223,6 @@ fn compact(
     else {
         return Ok(false);
     };
-    dataset.ensure_built(policy);
     let tmp = snap.with_extension("bestk.compact");
     let written = crate::save_snapshot_v2_path(dataset, &tmp)
         .and_then(|()| std::fs::rename(&tmp, &snap).map_err(EngineError::from));
@@ -368,10 +340,11 @@ impl SharedEngine {
     }
 
     /// Commits every staged op on the named dataset: fsyncs the log, folds
-    /// the ops into the maintained index, and installs the mutated graph
-    /// as the slot's new dataset. Query artifacts rebuild lazily on the
-    /// next query. Fails with a typed error — leaving the ops staged —
-    /// when nothing is pending or the log cannot be made durable.
+    /// the ops into the mutated graph, builds its artifacts, and installs
+    /// both as the slot's new dataset, so the next query is a cache hit.
+    /// Fails with a typed error — leaving the ops staged — when nothing is
+    /// pending, a mapped graph fails its check, or the log cannot be made
+    /// durable.
     pub fn commit_edges(
         &self,
         name: &str,
@@ -400,7 +373,7 @@ impl SharedEngine {
 mod tests {
     use super::*;
     use crate::engine::LoadOutcome;
-    use crate::query::Query;
+    use crate::query::{Answer, Query};
     use crate::snapshot;
     use bestk_graph::generators;
 
@@ -889,9 +862,9 @@ mod tests {
     }
 
     #[test]
-    fn index_bytes_pressure_the_budget_and_eviction_survives_mutation() {
-        // Satellite: the maintained index's heap counts toward the LRU
-        // budget, and eviction keeps working while a dataset mutates.
+    fn eviction_survives_mutation() {
+        // Eviction keeps working while a dataset mutates, and both datasets
+        // answer correctly after the squeeze.
         let eng = SharedEngine::with_budget(Some(1));
         let base = generators::erdos_renyi_gnm(60, 200, 1);
         eng.insert_graph("hot", base.clone());
@@ -902,69 +875,142 @@ mod tests {
             .query("cold", &Query::Stats, &policy())
             .unwrap()
             .to_line();
-        for op in generators::edge_stream_mixed(&base, 10, 5) {
-            eng.stage_edge("hot", op).unwrap();
+        let ops = generators::edge_stream_mixed(&base, 10, 5);
+        for op in &ops {
+            eng.stage_edge("hot", *op).unwrap();
         }
         eng.commit_edges("hot", &policy()).unwrap();
-        {
-            let mut guard = eng.guard();
-            // The commit seeded `hot`'s maintained index; its heap shows up
-            // in the registry total beyond the per-dataset bytes.
-            let dataset_only: usize = guard.dataset_rows().iter().map(|r| r.resident_bytes).sum();
-            assert!(
-                guard.resident_bytes() > dataset_only,
-                "index heap must be counted: total {} vs datasets {}",
-                guard.resident_bytes(),
-                dataset_only
-            );
-            let (_, delta) = guard.delta_checkout("hot").unwrap();
-            assert!(delta.heap_bytes() > 0, "committed slot keeps its index");
-            guard.delta_restore("hot", delta);
-            // The commit's budget pass evicted `cold` (the only built,
-            // unprotected slot) while `hot` was mid-mutation.
-            let built: Vec<(String, bool)> = guard
-                .dataset_rows()
-                .iter()
-                .map(|r| (r.name.clone(), r.built))
-                .collect();
-            assert_eq!(
-                built,
-                vec![("cold".to_owned(), false), ("hot".to_owned(), false)]
-            );
-        }
-        // Both datasets still answer correctly after the squeeze: `cold`
-        // rebuilds to the identical answer, `hot` serves the mutated graph.
+        // The commit's budget pass evicted `cold` (the only built,
+        // unprotected slot) while `hot` was mid-mutation; `hot` keeps the
+        // artifacts its commit built.
+        let built: Vec<(String, bool)> = eng
+            .dataset_rows()
+            .iter()
+            .map(|r| (r.name.clone(), r.built))
+            .collect();
+        assert_eq!(
+            built,
+            vec![("cold".to_owned(), false), ("hot".to_owned(), true)]
+        );
+        // `cold` rebuilds to the identical answer, `hot` serves the mutated
+        // graph.
         assert_eq!(
             eng.query("cold", &Query::Stats, &policy())
                 .unwrap()
                 .to_line(),
             cold_line
         );
-        eng.query("hot", &Query::Stats, &policy()).unwrap();
+        let want = SharedEngine::with_budget(None);
+        want.insert_graph("hot", rebuilt(&base, &ops));
+        assert_eq!(
+            eng.query("hot", &Query::Stats, &policy()).unwrap(),
+            want.query("hot", &Query::Stats, &policy()).unwrap()
+        );
+    }
+
+    /// `base` with `ops` applied, folded through an edge set and a
+    /// `GraphBuilder`, apart from the commit's own fold.
+    fn rebuilt(base: &bestk_graph::CsrGraph, ops: &[EdgeOp]) -> bestk_graph::CsrGraph {
+        let mut edges: std::collections::BTreeSet<_> = base.edges().collect();
+        for op in ops {
+            let (u, v) = op.endpoints();
+            let edge = (u.min(v), u.max(v));
+            if op.is_insert() {
+                edges.insert(edge);
+            } else {
+                edges.remove(&edge);
+            }
+        }
+        let mut b = bestk_graph::GraphBuilder::with_capacity(edges.len());
+        b.reserve_vertices(base.num_vertices());
+        b.extend_edges(edges);
+        b.build()
+    }
+
+    /// Saves `g`, built, as a v2 snapshot at `snap` and loads it into a
+    /// fresh engine under `"g"`, after clearing any log a previous run
+    /// left.
+    fn snapshot_backed(g: bestk_graph::CsrGraph, snap: &std::path::Path) -> SharedEngine {
+        for stale in ["wal", "wal.quarantine"] {
+            let _ = std::fs::remove_file(snap.with_extension(format!("bestk.{stale}")));
+        }
+        let mut ds = Dataset::from_graph(g);
+        ds.ensure_built(&policy());
+        crate::save_snapshot_v2_path(&ds, snap).unwrap();
+        let eng = SharedEngine::with_budget(None);
+        load(&eng, snap).unwrap();
+        eng
     }
 
     #[test]
-    fn successive_commits_reuse_the_maintained_index() {
-        let eng = SharedEngine::with_budget(None);
-        eng.insert_graph("g", generators::erdos_renyi_gnm(40, 100, 7));
-        let ops = generators::edge_stream_mixed(&generators::erdos_renyi_gnm(40, 100, 7), 30, 3);
-        for chunk in ops.chunks(5) {
+    fn every_commit_reply_matches_a_fresh_build_across_a_compaction() {
+        let dir = temp_dir("fresh-build");
+        let snap = dir.join("g.bestk");
+        let base = generators::erdos_renyi_gnm(40, 100, 7);
+        let eng = snapshot_backed(base.clone(), &snap);
+        {
+            let mut guard = eng.guard();
+            let (_, mut delta) = guard.delta_checkout("g").unwrap();
+            delta.compact_after = 12;
+            guard.delta_restore("g", delta);
+        }
+        let ops = generators::edge_stream_mixed(&base, 30, 3);
+        assert_eq!(ops.len(), 30);
+        let mut compactions = 0;
+        for (i, chunk) in ops.chunks(5).enumerate() {
             for op in chunk {
                 eng.stage_edge("g", *op).unwrap();
             }
             let summary = eng.commit_edges("g", &policy()).unwrap();
+            compactions += usize::from(summary.compacted);
+            let fresh = SharedEngine::with_budget(None);
+            fresh.insert_graph("g", rebuilt(&base, &ops[..5 * (i + 1)]));
+            let Answer::Stats { kmax, .. } = fresh.query("g", &Query::Stats, &policy()).unwrap()
+            else {
+                panic!("stats answers stats");
+            };
+            let q = Query::BestKSet {
+                metric: Metric::AverageDegree,
+            };
+            let best = match fresh.query("g", &q, &policy()).unwrap() {
+                Answer::BestKSet { k, score, .. } => Some((k, score)),
+                _ => None,
+            };
             assert_eq!(summary.ops, chunk.len());
+            assert_eq!(summary.kmax, kmax);
+            assert_eq!(summary.best.map(|b| (b.k, b.score)), best);
         }
-        // Final state equals a from-scratch build over the same ops.
-        let mut index = DeltaIndex::build(&generators::erdos_renyi_gnm(40, 100, 7));
-        for op in &ops {
-            index.apply(op).unwrap();
+        assert_eq!(compactions, 2, "30 ops at a threshold of 12");
+        for f in ["bestk", "bestk.wal"] {
+            let _ = std::fs::remove_file(snap.with_extension(f));
         }
+    }
+
+    #[test]
+    fn a_commit_is_one_build_and_the_next_query_a_cache_hit() {
+        let dir = temp_dir("one-build");
+        let snap = dir.join("g.bestk");
+        let base = generators::erdos_renyi_gnm(40, 100, 9);
+        let eng = snapshot_backed(base.clone(), &snap);
         let q = Query::BestKSet {
-            metric: Metric::AverageDegree,
+            metric: Metric::ClusteringCoefficient,
         };
-        let got = eng.query("g", &q, &policy()).unwrap().to_line();
-        let best = index.best(Metric::AverageDegree).unwrap().unwrap();
-        assert!(got.contains(&format!("k={}", best.k)), "{got}");
+        for (i, op) in generators::edge_stream_mixed(&base, 4, 5)
+            .into_iter()
+            .enumerate()
+        {
+            eng.stage_edge("g", op).unwrap();
+            let before = eng.counters();
+            eng.commit_edges("g", &policy()).unwrap();
+            let after = eng.counters();
+            assert_eq!(after.builds, before.builds + 1, "commit {i}");
+            eng.query("g", &q, &policy()).unwrap();
+            let read = eng.counters();
+            assert_eq!(read.builds, after.builds, "commit {i}");
+            assert_eq!(read.cache_hits, after.cache_hits + 1, "commit {i}");
+        }
+        for f in ["bestk", "bestk.wal"] {
+            let _ = std::fs::remove_file(snap.with_extension(f));
+        }
     }
 }

@@ -51,15 +51,15 @@
 //! paths that can act on a bad graph run it: the strict
 //! [`Engine::load_snapshot`](crate::Engine::load_snapshot),
 //! [`load_or_rebuild`](crate::load_or_rebuild) with a rebuild source, and
-//! the paths that read the whole graph (write-ahead-log replay and a
-//! slot's first commit, see [`crate::mutate`]). Loads without a source
-//! (serving restarts) skip it.
+//! the paths that read the whole graph (write-ahead-log replay and every
+//! commit, see [`crate::mutate`]). A passed check is remembered for the
+//! mapping. Loads without a source (serving restarts) skip it.
 
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
 use bestk_core::{CoreSetProfile, GraphContext, SingleCoreProfile};
-use bestk_graph::{ByteCsr, GraphView, VertexId};
+use bestk_graph::{cast, ByteCsr, GraphView, VertexId};
 
 use crate::dataset::Dataset;
 use crate::error::EngineError;
@@ -106,7 +106,9 @@ fn align8(x: usize) -> usize {
 
 // ---------------------------------------------------------------- writing
 
-/// Serializes a built dataset into the snapshot byte layout.
+/// Serializes a built dataset into the snapshot byte layout. The graph
+/// and coreness bodies are encoded straight into the one output buffer,
+/// sized up front, so a save holds one graph-sized allocation.
 pub fn to_bytes(dataset: &Dataset) -> Result<Vec<u8>, EngineError> {
     let art = dataset.artifacts().ok_or_else(|| {
         EngineError::BadSnapshot(
@@ -114,55 +116,55 @@ pub fn to_bytes(dataset: &Dataset) -> Result<Vec<u8>, EngineError> {
         )
     })?;
     let g = dataset.graph();
-    let mut coreness = Vec::with_capacity(4 * g.num_vertices());
-    for &c in art.decomp.coreness_slice() {
-        put_u32(&mut coreness, c);
-    }
-    let sections: [(u32, Vec<u8>); 4] = [
-        (SEC_GRAPH, bestk_graph::bytecsr::encode_view(g)),
-        (SEC_SET_PROFILE, encode_set_profile(&art.set_profile)),
-        (SEC_CORE_PROFILE, encode_core_profile(&art.core_profile)),
-        (SEC_CORENESS, coreness),
+    let set_profile = encode_set_profile(&art.set_profile);
+    let core_profile = encode_core_profile(&art.core_profile);
+    let coreness = art.decomp.coreness_slice();
+    let sections = [
+        (SEC_GRAPH, bestk_graph::bytecsr::encoded_len(g)),
+        (SEC_SET_PROFILE, set_profile.len()),
+        (SEC_CORE_PROFILE, core_profile.len()),
+        (SEC_CORENESS, 4 * coreness.len()),
     ];
 
-    // Lay the sections out 8-byte aligned after the table, then build the
-    // table, then the header (its checksum covers the table checksum).
+    // The sections follow the table, each 8-byte aligned. The header and
+    // table go in last, over the leading zeros: the table holds each
+    // body's checksum, and the header checksum covers the table's.
     let table_end = HEADER_LEN + ENTRY_LEN * sections.len();
-    let mut offsets = Vec::with_capacity(sections.len());
-    let mut cursor = align8(table_end);
-    let mut total = cursor;
-    for (_, body) in &sections {
-        offsets.push(cursor);
-        total = cursor + body.len();
-        cursor = align8(total);
-    }
-
+    let total = sections.iter().fold(table_end, |end, s| align8(end) + s.1);
+    let mut out = Vec::with_capacity(total);
+    out.resize(table_end, 0);
     let mut table = Vec::with_capacity(ENTRY_LEN * sections.len());
-    for ((id, body), &off) in sections.iter().zip(&offsets) {
-        put_u32(&mut table, *id);
+    for (id, len) in sections {
+        let off = align8(out.len());
+        out.resize(off, 0);
+        match id {
+            SEC_GRAPH => bestk_graph::bytecsr::encode_view_into(g, &mut out),
+            SEC_SET_PROFILE => out.extend_from_slice(&set_profile),
+            SEC_CORE_PROFILE => out.extend_from_slice(&core_profile),
+            // SEC_CORENESS
+            _ => coreness.iter().for_each(|&c| put_u32(&mut out, c)),
+        }
+        put_u32(&mut table, id);
         put_u32(&mut table, 0);
         put_u64(&mut table, off as u64);
-        put_u64(&mut table, body.len() as u64);
-        put_u64(&mut table, fnv1a(body));
+        put_u64(&mut table, len as u64);
+        put_u64(&mut table, fnv1a(&out[off..]));
     }
 
-    let mut out = Vec::with_capacity(total);
-    out.extend_from_slice(MAGIC);
-    put_u32(&mut out, VERSION);
-    put_u32(&mut out, bestk_graph::cast::u32_of(sections.len()));
-    put_u64(&mut out, g.num_vertices() as u64);
-    put_u64(&mut out, 2 * g.num_edges() as u64);
-    put_u32(&mut out, art.decomp.kmax());
-    put_u32(&mut out, bestk_graph::cast::u32_of(art.forest.node_count()));
-    put_u64(&mut out, fnv1a(&table));
-    let header_checksum = fnv1a(&out[..HEADER_CHECKED]);
-    put_u64(&mut out, header_checksum);
-    put_u64(&mut out, 0);
-    out.extend_from_slice(&table);
-    for ((_, body), &off) in sections.iter().zip(&offsets) {
-        out.resize(off, 0);
-        out.extend_from_slice(body);
-    }
+    let mut head = Vec::with_capacity(table_end);
+    head.extend_from_slice(MAGIC);
+    put_u32(&mut head, VERSION);
+    put_u32(&mut head, cast::u32_of(sections.len()));
+    put_u64(&mut head, g.num_vertices() as u64);
+    put_u64(&mut head, 2 * g.num_edges() as u64);
+    put_u32(&mut head, art.decomp.kmax());
+    put_u32(&mut head, cast::u32_of(art.forest.node_count()));
+    put_u64(&mut head, fnv1a(&table));
+    let header_checksum = fnv1a(&head[..HEADER_CHECKED]);
+    put_u64(&mut head, header_checksum);
+    put_u64(&mut head, 0);
+    head.extend_from_slice(&table);
+    out[..table_end].copy_from_slice(&head);
     Ok(out)
 }
 

@@ -177,14 +177,21 @@ impl<B: AsRef<[u8]>> std::fmt::Debug for ByteCsr<B> {
 
 /// Serializes any backend into the [`ByteCsr`] layout.
 pub fn encode_view<G: GraphView>(g: &G) -> Vec<u8> {
-    let n = g.num_vertices();
-    let mut nnz = 0usize;
-    for v in g.vertices() {
-        nnz = nnz.saturating_add(g.degree(v));
-    }
-    let mut out = Vec::with_capacity(HEADER + 8 * (n + 1) + 4 * nnz);
-    out.extend_from_slice(&(n as u64).to_le_bytes());
-    out.extend_from_slice(&(nnz as u64).to_le_bytes());
+    let mut out = Vec::with_capacity(encoded_len(g));
+    encode_view_into(g, &mut out);
+    out
+}
+
+/// Bytes [`encode_view`] produces for `g`.
+pub fn encoded_len<G: GraphView>(g: &G) -> usize {
+    HEADER + 8 * (g.num_vertices() + 1) + 4 * adjacency_entries(g)
+}
+
+/// Appends the [`ByteCsr`] layout of `g` to `out`, so a caller embedding
+/// it (the snapshot writer) encodes straight into its own buffer.
+pub fn encode_view_into<G: GraphView>(g: &G, out: &mut Vec<u8>) {
+    out.extend_from_slice(&(g.num_vertices() as u64).to_le_bytes());
+    out.extend_from_slice(&(adjacency_entries(g) as u64).to_le_bytes());
     let mut acc = 0u64;
     out.extend_from_slice(&acc.to_le_bytes());
     for v in g.vertices() {
@@ -196,7 +203,13 @@ pub fn encode_view<G: GraphView>(g: &G) -> Vec<u8> {
             out.extend_from_slice(&w.to_le_bytes());
         }
     }
-    out
+}
+
+/// `nnz`: the sum of the degrees.
+fn adjacency_entries<G: GraphView>(g: &G) -> usize {
+    g.vertices()
+        .map(|v| g.degree(v))
+        .fold(0, usize::saturating_add)
 }
 
 /// Little-endian `u64` at `pos`; callers guarantee `pos + 8 <= buf.len()`

@@ -10,7 +10,9 @@
 //! character is `#` or `%`, is skipped. An id is what `u64::from_str`
 //! accepts: decimal digits after an optional `+`, leading zeros allowed,
 //! overflow an error. Ids may be sparse: they are relabeled densely in
-//! first-seen order, `u` before `v` within a line.
+//! first-seen order, `u` before `v` within a line. Every id read is a
+//! vertex, so the graph has one vertex per mapping entry; a self loop adds
+//! its id but no edge.
 //!
 //! A line holding any byte at or above `0x80` is read as UTF-8 text
 //! instead, with `str::trim` and `str::split_whitespace`: non-ASCII
@@ -85,6 +87,11 @@ pub fn read_edge_list<R: Read>(mut reader: R) -> Result<(CsrGraph, Vec<u64>)> {
         buf.push(b'\n');
         ingest.lines(&buf)?;
     }
+    // Every id read gets a vertex, including one seen only in self loops,
+    // which the builder drops.
+    ingest
+        .builder
+        .reserve_vertices(ingest.relabel.original.len());
     Ok((ingest.builder.build(), ingest.relabel.original))
 }
 

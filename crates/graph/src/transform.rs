@@ -1,14 +1,17 @@
-//! Whole-graph transformations: component extraction, filtering, merging.
+//! Whole-graph transformations: component extraction, filtering, merging,
+//! edge flips.
 //!
 //! The preprocessing steps a real pipeline runs before decomposition —
 //! SNAP graphs are usually reduced to their largest connected component,
-//! degree-filtered, or composed from several sources.
+//! degree-filtered, or composed from several sources — plus
+//! [`flip_edges`], the fold of a batch of edge inserts and deletes.
 
 use crate::builder::GraphBuilder;
 use crate::cast;
 use crate::connectivity::connected_components;
 use crate::csr::{CsrGraph, VertexId};
 use crate::subgraph::{induced_subgraph, InducedSubgraph};
+use crate::view::GraphView;
 
 /// Extracts the largest connected component (densely relabeled). Returns
 /// the subgraph with its original-id mapping; an empty graph maps to an
@@ -67,10 +70,56 @@ pub fn drop_isolated(g: &CsrGraph) -> InducedSubgraph {
     induced_subgraph(g, &members)
 }
 
+/// `base` with the presence of every edge in `flipped` toggled: an edge
+/// `base` holds is deleted, any other inserted. Each undirected edge may
+/// appear once, as `(u, v)` or `(v, u)`, with `u != v` and both ids
+/// vertices of `base`. One pass in `O(n + m + p log p)` for `p` flips:
+/// every base list is copied in order, and only the at most `2p` lists a
+/// flip touches are patched and re-sorted. Relies on ascending base lists,
+/// as [`GraphView::has_edge`] does.
+pub fn flip_edges<G: GraphView>(
+    base: &G,
+    flipped: impl IntoIterator<Item = (VertexId, VertexId)>,
+) -> CsrGraph {
+    let mut flips: Vec<_> = flipped
+        .into_iter()
+        .flat_map(|(u, v)| [(u, v), (v, u)])
+        .collect();
+    flips.sort_unstable();
+    let mut offsets = Vec::with_capacity(base.num_vertices() + 1);
+    offsets.push(0);
+    let mut neighbors = Vec::with_capacity(2 * base.num_edges() + flips.len());
+    let mut rest = flips.as_slice();
+    for u in base.vertices() {
+        let (here, later) = rest.split_at(rest.partition_point(|f| f.0 == u));
+        rest = later;
+        let start = neighbors.len();
+        // A base neighbor with a flip is a deleted one.
+        let kept = |v: &VertexId| here.binary_search_by_key(v, |f| f.1).is_err();
+        neighbors.extend(base.neighbors(u).filter(kept));
+        if !here.is_empty() {
+            neighbors.extend(here.iter().map(|f| f.1).filter(|&v| !base.has_edge(u, v)));
+            neighbors[start..].sort_unstable();
+        }
+        offsets.push(neighbors.len());
+    }
+    CsrGraph::from_parts(offsets, neighbors)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators::{self, regular};
+
+    #[test]
+    fn flips_insert_absent_edges_and_delete_present_ones() {
+        let g = regular::cycle(5);
+        let flipped = flip_edges(&g, [(1, 0), (0, 2), (4, 3)]);
+        let mut b = GraphBuilder::new();
+        b.extend_edges([(1, 2), (2, 3), (4, 0), (0, 2)]);
+        assert_eq!(flipped, b.build());
+        assert_eq!(flip_edges(&g, []), g);
+    }
 
     #[test]
     fn lcc_extraction() {

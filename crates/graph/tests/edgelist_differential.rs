@@ -14,7 +14,7 @@ type Parsed = Result<(CsrGraph, Vec<u64>), GraphError>;
 
 /// The line-at-a-time reader: `BufRead::lines`, `trim`, `split_whitespace`
 /// and `u64::from_str` per line, then a first-seen `HashMap` relabel into
-/// a `GraphBuilder`.
+/// a `GraphBuilder` holding one vertex per relabeled id.
 fn oracle<R: Read>(reader: R) -> Parsed {
     let mut edges: Vec<(u64, u64)> = Vec::new();
     for (idx, line) in BufReader::new(reader).lines().enumerate() {
@@ -59,6 +59,7 @@ fn oracle<R: Read>(reader: R) -> Parsed {
         let dv = id_of(v)?;
         b.add_edge(du, dv);
     }
+    b.reserve_vertices(original.len());
     Ok((b.build(), original))
 }
 

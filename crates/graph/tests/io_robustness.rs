@@ -102,6 +102,19 @@ fn text_roundtrip_arbitrary() {
     });
 }
 
+/// An id seen only in a self loop is still a vertex, whichever line
+/// comes first: the graph has one vertex per mapping entry.
+#[test]
+fn ids_seen_only_in_self_loops_are_vertices() {
+    for text in ["3 3\n1 2\n", "1 2\n3 3\n"] {
+        let (g, orig) = io::read_edge_list(text.as_bytes()).unwrap();
+        assert_eq!((g.num_vertices(), g.num_edges()), (3, 1), "{text:?}");
+        assert_eq!(orig.len(), 3, "{text:?}");
+        let loop_vertex = orig.iter().position(|&id| id == 3).unwrap() as u32;
+        assert_eq!(g.degree(loop_vertex), 0, "{text:?}");
+    }
+}
+
 #[test]
 fn empty_input_behaviors() {
     assert!(io::read_binary(&b""[..]).is_err());

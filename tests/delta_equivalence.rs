@@ -6,11 +6,15 @@
 //! drains and churn focused on the max-`k` shell. And because the rebuild
 //! pipeline is itself deterministic across thread counts, the incremental
 //! state must match `OrderedGraph::build_with` at 1, 2, and 4 threads too.
+//! The engine's commits fold through `DeltaOverlay::materialize`, which
+//! must equal a `GraphBuilder` fold of the same ops on a heap or a mapped
+//! base.
 //!
 //! Driven by the seeded in-repo property harness (`BESTK_PROP_SEED` /
 //! `BESTK_PROP_CASES`), like the other equivalence suites.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use bestk::core::{core_decomposition, core_set_profile, Metric, OrderedGraph};
 use bestk::delta::{DeltaIndex, DeltaOverlay};
@@ -19,7 +23,9 @@ use bestk::graph::generators::{
     self, edge_stream_delete_heavy, edge_stream_focused, edge_stream_mixed, EdgeOp,
 };
 use bestk::graph::testkit::{check, Gen};
-use bestk::graph::{CsrGraph, GraphBuilder};
+use bestk::graph::{bytecsr, ByteCsr, CsrGraph, GraphBuilder};
+use bestk_engine::mmap::Mmap;
+use bestk_engine::store::{GraphStore, SnapshotSlice};
 
 /// Thread counts the rebuild side is exercised at.
 const THREADS: [usize; 3] = [1, 2, 4];
@@ -158,10 +164,9 @@ fn adversarial_workloads_match_rebuild() {
 
 #[test]
 fn triangle_metrics_rebuild_lazily_after_focused_mutation() {
-    // The maintained DeltaIndex never carries triangle counts (its
-    // profile is built `with_triangles = false`), so after a commit the
-    // first triangle-metric query must fall back to a lazy from-scratch
-    // artifact rebuild — and that rebuild must produce primaries
+    // A commit folds the staged ops and builds the mutated graph's
+    // artifacts, triangles included, so the first triangle-metric query
+    // after it answers from that build — whose primaries must be
     // bit-identical to building the mutated graph directly, at every
     // thread count.
     let g = generators::overlapping_cliques(40, 5, (4, 7), 31);
@@ -208,7 +213,7 @@ fn triangle_metrics_rebuild_lazily_after_focused_mutation() {
             profile.primaries, baseline.primaries,
             "primaries diverged at {threads} threads"
         );
-        // And the engine's lazy rebuild serves the same triangle answers.
+        // And the commit's build serves the same triangle answers.
         for metric in [Metric::ClusteringCoefficient, Metric::TriangleDensity] {
             let line = engine
                 .query("g", &bestk_engine::Query::BestKSet { metric }, &policy)
@@ -231,12 +236,12 @@ fn triangle_metrics_rebuild_lazily_after_focused_mutation() {
 
 #[test]
 fn triangle_rebuild_after_parallel_commit_matches_cold_sequential() {
-    // The parallel-peel variant of the lazy-rebuild drill above: the whole
-    // engine path — warm-up build, delta maintenance across the focused
-    // commit, and the lazy triangle-artifact rebuild — runs under a
-    // *parallel* policy, and every triangle-metric answer must still match
-    // a cold sequential rebuild of the mutated graph. This is the
-    // `mutate --stream focused` CLI path in miniature.
+    // The parallel-peel variant of the drill above: the whole engine path
+    // — warm-up build, the focused commit's fold and build, and the
+    // triangle answers — runs under a *parallel* policy, and every
+    // triangle-metric answer must still match a cold sequential rebuild of
+    // the mutated graph. This is the `mutate --stream focused` CLI path in
+    // miniature.
     let g = generators::overlapping_cliques(40, 5, (4, 7), 31);
     let d = core_decomposition(&g);
     let focus = d.shell(d.kmax()).to_vec();
@@ -288,12 +293,29 @@ fn triangle_rebuild_after_parallel_commit_matches_cold_sequential() {
     }
 }
 
+/// `g` behind the engine's mapped store, as a loaded snapshot holds it.
+fn mapped(g: &CsrGraph) -> GraphStore {
+    let map = Arc::new(Mmap::from_vec(bytecsr::encode_view(g)));
+    let len = map.len();
+    let slice = SnapshotSlice::new(map, 0, len).expect("slice");
+    GraphStore::Mapped(ByteCsr::new(slice).expect("framing"))
+}
+
+/// The op that flips `{u, v}` in `edges`, which it updates.
+fn flip(edges: &mut BTreeSet<(u32, u32)>, u: u32, v: u32) -> EdgeOp {
+    if edges.remove(&(u, v)) {
+        EdgeOp::Delete(u, v)
+    } else {
+        edges.insert((u, v));
+        EdgeOp::Insert(u, v)
+    }
+}
+
 #[test]
 fn overlay_round_trips_arbitrary_valid_sequences() {
     check("delta overlay replay", 16, |gen: &mut Gen| {
         let g = gen.graph(30, 80);
-        let ops = edge_stream_mixed(&g, 40, gen.u64());
-        let mut overlay = DeltaOverlay::new(&g);
+        let mut ops = edge_stream_mixed(&g, 40, gen.u64());
         let mut edges: BTreeSet<(u32, u32)> = g.edges().collect();
         for op in &ops {
             let (u, v) = op.endpoints();
@@ -301,10 +323,24 @@ fn overlay_round_trips_arbitrary_valid_sequences() {
                 EdgeOp::Insert(..) => edges.insert((u, v)),
                 EdgeOp::Delete(..) => edges.remove(&(u, v)),
             };
-            overlay.apply(*op).unwrap();
         }
+        // An edge at the highest vertex id flipped twice, so it leaves the
+        // flip set, then one flipped once more.
+        let top = g.num_vertices() as u32 - 1;
+        ops.push(flip(&mut edges, 0, top));
+        ops.push(flip(&mut edges, 0, top));
+        ops.push(flip(&mut edges, top - 1, top));
         let want = csr_of(g.num_vertices(), &edges);
+        // The fold equals the `GraphBuilder` fold on a CSR and on a mapped
+        // base alike.
+        let mut overlay = DeltaOverlay::new(&g);
+        let mut over_mapped = DeltaOverlay::new(mapped(&g));
+        for op in &ops {
+            overlay.apply(*op).unwrap();
+            over_mapped.apply(*op).unwrap();
+        }
         assert_eq!(overlay.materialize(), want);
+        assert_eq!(over_mapped.materialize(), want);
         // The overlay agrees with the materialized graph pair by pair
         // while the base is still the original graph underneath.
         for u in want.vertices() {
