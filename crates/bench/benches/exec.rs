@@ -1,15 +1,24 @@
-//! Micro-bench: the shared execution runtime (`bestk-exec`) — every
-//! refactored kernel at 1, 2, and 4 worker threads, printing the observed
-//! speedup over the single-thread run. With `BESTK_BENCH_JSON` set, the
-//! per-thread-count records (name, threads, min/mean ns) land in the JSON
-//! report, which is how EXPERIMENTS.md reproduces the 1-vs-N speedup table.
+//! Micro-bench: the shared execution runtime (`bestk-exec`) — every kernel
+//! that keeps a fan-out, at 1, 2, and 4 worker threads, printing the
+//! observed speedup over the single-thread run:
+//!
+//! * `exec/order_tags/tN` — `OrderedGraph::build_with` (the Alg. 1
+//!   rank-order scatter plus the fanned-out position-tag scan);
+//! * `exec/hindex/tN` — the h-index rounds;
+//! * `exec/truss_supports/tN` — the truss support counts.
+//!
+//! With `BESTK_BENCH_JSON` set, the per-thread-count records (name,
+//! threads, min/mean ns) land in the JSON report, with the host's
+//! `available_parallelism`; EXPERIMENTS.md cites the committed
+//! `BENCH_exec.json`.
 
 use std::time::Duration;
 
 use bestk_bench::Bench;
 use bestk_core::hindex::hindex_core_decomposition_with;
+use bestk_core::{core_decomposition, OrderedGraph};
 use bestk_exec::ExecPolicy;
-use bestk_graph::{generators, GraphBuilder};
+use bestk_graph::generators;
 use bestk_truss::decomposition::edge_supports_with;
 use bestk_truss::EdgeIndex;
 
@@ -48,11 +57,9 @@ fn bench_exec_kernels(b: &Bench) {
     let m = g.num_edges();
     println!("# graph: chung_lu_50k (n = {}, m = {m})", g.num_vertices());
 
-    let edges: Vec<(u32, u32)> = g.edges().collect();
-    sweep(b, "exec/csr_build", |policy| {
-        let mut builder = GraphBuilder::new();
-        builder.extend_edges(edges.iter().copied());
-        builder.build_with(policy);
+    let d = core_decomposition(&g);
+    sweep(b, "exec/order_tags", |policy| {
+        OrderedGraph::build_with(&g, &d, policy);
     });
 
     sweep(b, "exec/hindex", |policy| {

@@ -34,13 +34,12 @@ fn verify_failed(e: bestk_graph::verify::VerifyError) -> CliError {
     CliError::Failed(format!("verification FAILED: {e}"))
 }
 
-/// `bestk stats <graph> [--verify] [--threads N]`.
+/// `bestk stats <graph> [--verify]`.
 pub fn stats(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
-    args.reject_unknown(&["verify", "threads"])?;
-    let policy = args.exec_policy()?;
+    args.reject_unknown(&["verify"])?;
     let g = load_graph(args.positional(0, "graph")?)?;
     let s = stats::graph_stats(&g);
-    let d = bestk_core::core_decomposition_with(&g, &policy);
+    let d = bestk_core::core_decomposition(&g);
     if args.flag("verify") {
         bestk_graph::verify::verify_graph(&g).map_err(verify_failed)?;
         bestk_core::verify::verify_decomposition(&g, &d).map_err(verify_failed)?;
@@ -52,7 +51,7 @@ pub fn stats(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     writeln!(out, "min degree      {}", s.min_degree)?;
     writeln!(out, "isolated        {}", s.isolated_vertices)?;
     writeln!(out, "kmax            {}", d.kmax())?;
-    let cs = bestk_core::corestats::core_stats_with(&d, &policy);
+    let cs = bestk_core::corestats::core_stats(&d);
     writeln!(out, "mean coreness   {:.2}", cs.mean_coreness)?;
     writeln!(out, "median coreness {}", cs.median_coreness)?;
     writeln!(out, "shells          {} populated", cs.populated_shells)?;
@@ -580,7 +579,7 @@ pub fn mutate(args: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
                 "focused" => {
                     // Hammer the max-k shell: the adversarial pattern where
                     // every op dirties the deepest sweep levels.
-                    let d = bestk_core::core_decomposition_with(&*csr, &policy);
+                    let d = bestk_core::core_decomposition(&*csr);
                     let focus = d.shell(d.kmax()).to_vec();
                     generators::edge_stream_focused(&csr, &focus, count, seed)
                 }
@@ -1136,7 +1135,7 @@ mod tests {
         // --threads must print byte-identical reports at 1 and 4 threads
         // (and with the flag absent).
         let path = write_figure2();
-        for cmd in ["stats", "analyze", "truss"] {
+        for cmd in ["analyze", "truss"] {
             let default = run(&[cmd, &path]).unwrap();
             let one = run(&[cmd, &path, "--threads", "1"]).unwrap();
             let four = run(&[cmd, &path, "--threads=4"]).unwrap();
@@ -1149,7 +1148,7 @@ mod tests {
     fn threads_flag_rejects_zero_and_non_numeric() {
         let path = write_figure2();
         for bad in ["0", "abc", "-2", "1.5", ""] {
-            let err = run(&["stats", &path, &format!("--threads={bad}")])
+            let err = run(&["analyze", &path, &format!("--threads={bad}")])
                 .unwrap_err()
                 .to_string();
             assert!(
@@ -1158,10 +1157,11 @@ mod tests {
             );
         }
         // Commands without parallel kernels do not accept the flag.
-        let err = run(&["clique", &path, "--threads", "2"])
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("--threads"), "{err}");
+        for cmd in ["clique", "stats"] {
+            let err = run(&[cmd, &path, "--threads", "2"]).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{cmd}: {err}");
+            assert!(err.to_string().contains("--threads"), "{cmd}: {err}");
+        }
     }
 
     #[test]

@@ -129,8 +129,8 @@ commands:
 metrics M: ad den cr con mod cc sep td (default: all six paper metrics)
 stats/analyze/truss accept --verify: re-check every reported answer against
 the executable-specification oracles (slower; exits non-zero on mismatch)
-stats/analyze/truss accept --threads N: run the parallel kernels on N worker
-threads (default: auto-detect; output is identical at every thread count)
+analyze/truss accept --threads N: run the parallel kernels on N worker threads
+(default: auto-detect; output is identical at every thread count)
 families: er-gnm er-gnp chung-lu rmat ba ws cliques";
 
 /// Parses `argv` and executes the chosen subcommand, writing the report to

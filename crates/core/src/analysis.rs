@@ -11,7 +11,7 @@ use bestk_graph::{GraphView, VertexId};
 
 use crate::bestcore::{single_core_profile, BestCore, SingleCoreProfile};
 use crate::bestkset::{core_set_profile, BestKSet, CoreSetProfile};
-use crate::decomposition::{core_decomposition_with, CoreDecomposition};
+use crate::decomposition::{core_decomposition, CoreDecomposition};
 use crate::forest::CoreForest;
 use crate::metrics::{CommunityMetric, MetricError};
 use crate::ordering::OrderedGraph;
@@ -39,10 +39,10 @@ pub fn analyze_basic<G: GraphView + Sync>(g: &G) -> BestKAnalysis {
     analyze_inner(g, false)
 }
 
-/// [`analyze`] under an execution policy: the peel fans its large
-/// sub-rounds' decrement generation out over the policy's workers and the
-/// ordered-adjacency tag scan runs on the shared runtime. The analysis is
-/// identical to the sequential one at every thread count.
+/// [`analyze`] under an execution policy: the Alg. 1 tag scan runs on the
+/// policy's workers, and every other stage, the peel included, on the
+/// calling thread. The analysis is identical to the sequential one at
+/// every thread count.
 pub fn analyze_with<G: GraphView + Sync>(g: &G, policy: &ExecPolicy) -> BestKAnalysis {
     analyze_inner_with(g, true, policy)
 }
@@ -61,7 +61,7 @@ fn analyze_inner_with<G: GraphView + Sync>(
     with_triangles: bool,
     policy: &ExecPolicy,
 ) -> BestKAnalysis {
-    let decomp = core_decomposition_with(g, policy);
+    let decomp = core_decomposition(g);
     let ordered = OrderedGraph::build_with(g, &decomp, policy);
     let set_profile = core_set_profile(&ordered, with_triangles);
     let forest = CoreForest::build(g, &decomp);

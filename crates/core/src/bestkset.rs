@@ -19,7 +19,6 @@
 //! costs `O(kmax)`, so one profile answers every metric (and the paper's
 //! Figure 5 series) without retraversal.
 
-use bestk_exec::ExecPolicy;
 use bestk_graph::VertexId;
 
 use crate::metrics::{best_k, CommunityMetric, GraphContext, MetricError, PrimaryValues};
@@ -75,51 +74,6 @@ impl CoreSetProfile {
     pub fn scores<M: CommunityMetric + ?Sized>(&self, metric: &M) -> Vec<f64> {
         // bestk-analyze: allow(no-panic) — documented panicking facade over try_scores
         self.try_scores(metric).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`try_scores`](Self::try_scores) under an execution policy: the
-    /// per-k sweep is scored in even chunks merged in k order, so the
-    /// series (each entry an independent float expression over that k's
-    /// primaries) is bit-identical at every thread count. Worth it when
-    /// `kmax` is large or the metric is a custom, expensive one.
-    pub fn try_scores_with<M: CommunityMetric + ?Sized + Sync>(
-        &self,
-        metric: &M,
-        policy: &ExecPolicy,
-    ) -> Result<Vec<f64>, MetricError> {
-        self.require_triangles(metric)?;
-        let plan = policy.plan_even(self.primaries.len());
-        Ok(policy.map_reduce(
-            &plan,
-            || (),
-            |(), _, range| {
-                self.primaries[range]
-                    .iter()
-                    .map(|pv| metric.score(pv, &self.context))
-                    .collect::<Vec<f64>>()
-            },
-            Vec::with_capacity(self.primaries.len()),
-            |mut acc: Vec<f64>, part| {
-                acc.extend_from_slice(&part);
-                acc
-            },
-        ))
-    }
-
-    /// [`try_scores_with`](Self::try_scores_with) as a panicking convenience.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the metric needs triangles but the profile was built without
-    /// them.
-    pub fn scores_with<M: CommunityMetric + ?Sized + Sync>(
-        &self,
-        metric: &M,
-        policy: &ExecPolicy,
-    ) -> Vec<f64> {
-        self.try_scores_with(metric, policy)
-            // bestk-analyze: allow(no-panic) — documented panicking facade over try_scores_with
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The best k under `metric` (ties to the largest k), with its score;
@@ -427,29 +381,6 @@ mod tests {
         assert!((scores[3] - 1.0).abs() < 1e-12);
         assert!((scores[2] - 30.0 / 45.0).abs() < 1e-12);
         assert_eq!(p.best(&Metric::ClusteringCoefficient).unwrap().k, 3);
-    }
-
-    #[test]
-    fn policy_scores_match_sequential_bitwise() {
-        bestk_graph::testkit::check("scores_policy_equals_sequential", 16, |gen| {
-            let g = gen.graph(70, 300);
-            let p = profile(&g, true);
-            for metric in Metric::ALL {
-                let reference = p.scores(&metric);
-                for threads in [1, 2, 4, 7] {
-                    let policy = ExecPolicy::with_threads(threads).unwrap();
-                    let got = p.scores_with(&metric, &policy);
-                    // Bit-identical, not just approximately equal: the series
-                    // is chunked and concatenated, never re-associated.
-                    assert_eq!(
-                        got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                        reference.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                        "{} at {threads} threads",
-                        metric.name()
-                    );
-                }
-            }
-        });
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! The paper characterizes datasets by their coreness spectra (Table III's
 //! `kmax`, the shell structure behind Figures 5–6). This module computes
-//! those distributions from a [`CoreDecomposition`] in `O(n)`.
+//! those distributions from a [`CoreDecomposition`]'s shell boundaries in
+//! `O(kmax)`.
 
 use crate::decomposition::CoreDecomposition;
-use bestk_exec::ExecPolicy;
 use bestk_graph::cast;
 
 /// Summary of a graph's coreness structure.
@@ -27,45 +27,15 @@ pub struct CoreStats {
     pub top_core_size: usize,
 }
 
-/// Computes [`CoreStats`] in `O(n + kmax)`.
+/// Computes [`CoreStats`] in `O(kmax)` from the decomposition's shell
+/// boundaries ([`CoreDecomposition::shell_starts`]).
 pub fn core_stats(d: &CoreDecomposition) -> CoreStats {
-    core_stats_with(d, &ExecPolicy::Sequential)
-}
-
-/// [`core_stats`] under an execution policy: the shell histogram pass runs
-/// as per-chunk partial histograms merged in chunk order (sums commute, so
-/// the result is identical at every thread count).
-pub fn core_stats_with(d: &CoreDecomposition, policy: &ExecPolicy) -> CoreStats {
     let kmax = d.kmax();
     let n = d.num_vertices();
-    let coreness = d.coreness_slice();
-    let plan = policy.plan_even(n);
-    let (shell_sizes, total) = policy.map_reduce(
-        &plan,
-        || (),
-        |(), _, range| {
-            let mut hist = vec![0usize; kmax as usize + 1];
-            let mut sum = 0u64;
-            for &c in &coreness[range] {
-                hist[c as usize] += 1;
-                sum += c as u64;
-            }
-            (hist, sum)
-        },
-        (vec![0usize; kmax as usize + 1], 0u64),
-        |(mut hist, sum), (part_hist, part_sum)| {
-            for (h, p) in hist.iter_mut().zip(&part_hist) {
-                *h += p;
-            }
-            (hist, sum + part_sum)
-        },
-    );
-    let mut core_set_sizes = vec![0usize; kmax as usize + 1];
-    let mut acc = 0usize;
-    for k in (0..=kmax as usize).rev() {
-        acc += shell_sizes[k];
-        core_set_sizes[k] = acc;
-    }
+    let starts = d.shell_starts();
+    let shell_sizes: Vec<usize> = starts.windows(2).map(|w| w[1] - w[0]).collect();
+    let core_set_sizes: Vec<usize> = starts[..=kmax as usize].iter().map(|&s| n - s).collect();
+    let total: u64 = (0u64..).zip(&shell_sizes).map(|(k, &s)| k * s as u64).sum();
     let populated_shells = shell_sizes.iter().filter(|&&s| s > 0).count();
     let mean_coreness = if n == 0 { 0.0 } else { total as f64 / n as f64 };
     // Median via the shell histogram.
@@ -140,15 +110,29 @@ mod tests {
     }
 
     #[test]
-    fn policy_stats_match_sequential() {
-        bestk_graph::testkit::check("corestats_policy_equals_sequential", 24, |gen| {
+    fn stats_match_a_direct_histogram_over_coreness() {
+        bestk_graph::testkit::check("corestats_equal_direct_histogram", 24, |gen| {
             let g = gen.graph(60, 240);
             let d = core_decomposition(&g);
-            let reference = core_stats(&d);
-            for threads in [1, 2, 4, 7] {
-                let policy = ExecPolicy::with_threads(threads).unwrap();
-                assert_eq!(core_stats_with(&d, &policy), reference, "{threads} threads");
+            let s = core_stats(&d);
+            let mut hist = vec![0usize; d.kmax() as usize + 1];
+            let mut sum = 0u64;
+            for &c in d.coreness_slice() {
+                hist[c as usize] += 1;
+                sum += u64::from(c);
             }
+            let n = g.num_vertices();
+            assert_eq!(s.shell_sizes, hist);
+            let suffix: Vec<usize> = (0..hist.len()).map(|k| hist[k..].iter().sum()).collect();
+            assert_eq!(s.core_set_sizes, suffix);
+            assert_eq!(s.populated_shells, hist.iter().filter(|&&h| h > 0).count());
+            assert_eq!(s.top_core_size, hist[d.kmax() as usize]);
+            let mean = if n == 0 { 0.0 } else { sum as f64 / n as f64 };
+            assert_eq!(s.mean_coreness.to_bits(), mean.to_bits());
+            let mut sorted = d.coreness_slice().to_vec();
+            sorted.sort_unstable();
+            let median = if n == 0 { 0 } else { sorted[n.div_ceil(2) - 1] };
+            assert_eq!(s.median_coreness, median);
         });
     }
 

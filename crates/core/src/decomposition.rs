@@ -14,25 +14,19 @@
 //!   *cascade frontier*, ordered by first crossing;
 //! * when the cascade dries up, the next level opens at the new minimum.
 //!
-//! There is one peel, the bucket-frontier peel of [`par_peel`], and both
-//! [`core_decomposition`] and [`core_decomposition_with`] run it. A lazy
-//! bucket queue finds level openings in `O(n + m)` total, and sorting the
-//! opening frontiers by id costs `O(n log n)` in the worst case (each
-//! vertex is sorted once): `O(n log n + m)` time, `O(n + m)` space. At one
-//! thread every decrement is applied inline. Under a parallel policy each
-//! large sub-round's decrements are *generated* on
-//! [`bestk_exec::ExecPolicy::for_each_disjoint`] — one count-prefixed
-//! event region per chunk — then *applied* in chunk order. Because the
-//! frontier is contiguously chunked, the chunk-order merge replays the
-//! inline decrement order exactly, which is what keeps the cascade
-//! frontiers, and therefore the peel order, identical. Alg. 1, the
-//! Alg. 2/3 sweep, the core forest, the delta index and the snapshot
-//! serializer read only coreness and the `(coreness, id)` rank order; the
-//! peel order's readers are the maximum-clique and coloring applications
-//! in `bestk-apps` and [`crate::verify`]. See `tests/peel_equivalence.rs`
-//! for the differential layer and DESIGN.md §17 for the contract.
+//! There is one peel, [`core_decomposition`], and it runs on the calling
+//! thread. A lazy bucket queue finds level openings in `O(n + m)` total,
+//! and sorting the opening frontiers by id costs `O(n log n)` in the worst
+//! case (each vertex is sorted once): `O(n log n + m)` time, `O(n + m)`
+//! space. [`core_decomposition_with`] is the same call under the signature
+//! the end-to-end benchmark names. Alg. 1, the Alg. 2/3 sweep, the core
+//! forest, the delta index and the snapshot serializer read only coreness
+//! and the `(coreness, id)` rank order; the peel order's readers are the
+//! maximum-clique and coloring applications in `bestk-apps` and
+//! [`crate::verify`]. See `tests/peel_equivalence.rs` for the differential
+//! layer and DESIGN.md §17 for the contract.
 
-use bestk_exec::{prefix_sum, ExecPolicy};
+use bestk_exec::ExecPolicy;
 use bestk_graph::cast;
 use bestk_graph::{GraphView, VertexId};
 
@@ -137,19 +131,11 @@ impl CoreDecomposition {
     }
 }
 
-/// Minimum sub-round work (sum of frontier degrees) before [`par_peel`]
-/// dispatches event generation to worker threads; below it the events are
-/// generated inline. Output is identical either way — the threshold only
-/// gates the per-dispatch thread-spawn cost — so correctness tests force
-/// the parallel path with an explicit `min_work` of 0.
-const PAR_PEEL_MIN_WORK: usize = 32_768;
-
 /// Histogram bounds for `core.frontier_size` (sub-round frontier sizes).
 const FRONTIER_BOUNDS: &[u64] = &[1, 4, 16, 64, 256, 1024, 4096, 16384, 65536];
 
 /// Per-sub-round observability: every run records the same canonical
-/// round structure, whether a sub-round's decrements were applied inline
-/// or fanned out, so `phase.peel.rounds` and `core.frontier_size` are
+/// round structure, so `phase.peel.rounds` and `core.frontier_size` are
 /// thread-count-invariant (golden-covered in `tests/obs_golden.rs`).
 struct PeelObs {
     rounds: bestk_obs::Counter,
@@ -211,80 +197,17 @@ fn assemble(coreness: Vec<u32>, kmax: u32, peel_order: Vec<VertexId>) -> CoreDec
     }
 }
 
-/// Applies one degree decrement to `u` at level `k`: crossing the level
-/// queues `u` for the next cascade frontier exactly once; staying above it
-/// re-files `u` in the lazy bucket queue. This is the *shared application
-/// step* both the inline scan and the parallel chunk-order merge replay —
-/// identical event order in, identical state trajectory out.
-#[inline]
-fn apply_decrement(
-    u: VertexId,
-    k: usize,
-    cur: &mut [usize],
-    queued: &mut [bool],
-    next: &mut Vec<VertexId>,
-    buckets: &mut [Vec<VertexId>],
-) {
-    let uu = u as usize;
-    cur[uu] -= 1;
-    if queued[uu] {
-        return;
-    }
-    if cur[uu] <= k {
-        queued[uu] = true;
-        next.push(u);
-    } else {
-        buckets[cur[uu]].push(u);
-    }
-}
-
-/// Core decomposition of `g` at one thread: the bucket-frontier peel
-/// ([`par_peel`]) with every decrement applied inline and no fan-out.
+/// Core decomposition of `g`: the canonical bucket-frontier peel.
 /// `O(n log n + m)` time, `O(n + m)` extra space.
-pub fn core_decomposition<G: GraphView + Sync>(g: &G) -> CoreDecomposition {
-    core_decomposition_with(g, &ExecPolicy::Sequential)
-}
-
-/// [`core_decomposition`] under an execution policy: the entry point for
-/// every engine build/rebuild/compaction and CLI path. Output is
-/// bit-identical at every thread count.
-pub fn core_decomposition_with<G: GraphView + Sync>(
-    g: &G,
-    policy: &ExecPolicy,
-) -> CoreDecomposition {
-    par_peel(g, policy, PAR_PEEL_MIN_WORK)
-}
-
-/// The bucket-frontier peel behind [`core_decomposition_with`], with the
-/// fan-out threshold exposed.
 ///
 /// Level openings come from a *lazy bucket queue* — every vertex always has
 /// an entry filed under its current degree (stale higher entries are
 /// skipped on drain), so advancing the level pointer is `O(n + m)` over the
 /// whole run. Opening frontiers are sorted ascending by id to match the
 /// canonical order, `O(n log n)` in the worst case since each vertex is
-/// sorted once; cascade frontiers need no sort because the decrement
-/// *events* are replayed in frontier-scan order.
-///
-/// Under a parallel policy, each sub-round with at least `min_work` total
-/// frontier degree generates its decrement events on
-/// [`ExecPolicy::for_each_disjoint`]: the frontier is chunked by cumulative
-/// degree, each chunk writes the live-neighbor events of its contiguous
-/// frontier slice into a private count-prefixed region, and the regions are
-/// then applied in chunk order. Concatenating contiguous chunks in chunk
-/// order *is* the frontier-scan order, so the merged event stream — and
-/// with it every `cur`/bucket/frontier trajectory — is identical to the
-/// inline scan's. Smaller sub-rounds, and every sub-round at one thread,
-/// apply their decrements inline.
-///
-/// `min_work` gates the per-dispatch thread-spawn cost; pass 0 to force
-/// every sub-round through the parallel machinery (what the differential
-/// tests do on small graphs).
-pub fn par_peel<G: GraphView + Sync>(
-    g: &G,
-    policy: &ExecPolicy,
-    min_work: usize,
-) -> CoreDecomposition {
+/// sorted once; cascade frontiers need no sort because each removed
+/// vertex's live neighbors are decremented in frontier-scan order.
+pub fn core_decomposition<G: GraphView>(g: &G) -> CoreDecomposition {
     let _span = bestk_obs::span!("phase.peel");
     let n = g.num_vertices();
     if n == 0 {
@@ -307,9 +230,6 @@ pub fn par_peel<G: GraphView + Sync>(
     let mut remaining = n;
     let mut frontier: Vec<VertexId> = Vec::new();
     let mut next: Vec<VertexId> = Vec::new();
-    // Reused event buffer: one count-prefixed region per chunk per
-    // dispatched sub-round.
-    let mut events: Vec<VertexId> = Vec::new();
     let mut k = 0usize;
     while remaining > 0 {
         // Advance the level pointer over the lazy bucket queue. An entry
@@ -339,65 +259,32 @@ pub fn par_peel<G: GraphView + Sync>(
             obs.round(frontier.len());
             remaining -= frontier.len();
             // Simultaneous removal: the whole frontier leaves the graph
-            // before any decrement is generated, so edges internal to the
+            // before any decrement is applied, so edges internal to the
             // frontier never decrement anybody.
             for &v in &frontier {
                 peeled[v as usize] = true;
                 coreness[v as usize] = level;
                 peel_order.push(v);
             }
+            // A decrement that crosses the level queues `u` for the next
+            // cascade frontier exactly once; one that stays above it
+            // re-files `u` in the lazy bucket queue.
             next.clear();
-            let prefix = prefix_sum(frontier.iter().map(|&v| g.degree(v)));
-            let work = prefix[frontier.len()];
-            if policy.is_parallel() && work >= min_work.max(1) {
-                let plan = policy.plan_weighted(&prefix);
-                let chunks = plan.num_chunks();
-                // Region `c` holds chunk `c`'s events behind one count
-                // slot: `cuts` shifts each degree-balanced boundary right
-                // by its chunk index to make room.
-                let cuts: Vec<usize> = plan
-                    .bounds()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &b)| prefix[b] + i)
-                    .collect();
-                events.clear();
-                events.resize(work + chunks, 0);
-                let frontier_ref = &frontier;
-                let peeled_ref = &peeled;
-                policy.for_each_disjoint(
-                    &plan,
-                    &mut events,
-                    &cuts,
-                    || (),
-                    |_, _, items, region| {
-                        let mut count = 0usize;
-                        for i in items {
-                            for u in g.neighbors(frontier_ref[i]) {
-                                if !peeled_ref[u as usize] {
-                                    count += 1;
-                                    region[count] = u;
-                                }
-                            }
-                        }
-                        region[0] = cast::u32_of(count);
-                    },
-                );
-                // Deterministic ordered merge: applying the regions in
-                // chunk order replays the inline decrement order.
-                for c in 0..chunks {
-                    let region = &events[cuts[c]..cuts[c + 1]];
-                    let count = region[0] as usize;
-                    for &u in &region[1..=count] {
-                        apply_decrement(u, k, &mut cur, &mut queued, &mut next, &mut buckets);
+            for &v in &frontier {
+                for u in g.neighbors(v) {
+                    let uu = u as usize;
+                    if peeled[uu] {
+                        continue;
                     }
-                }
-            } else {
-                for &v in &frontier {
-                    for u in g.neighbors(v) {
-                        if !peeled[u as usize] {
-                            apply_decrement(u, k, &mut cur, &mut queued, &mut next, &mut buckets);
-                        }
+                    cur[uu] -= 1;
+                    if queued[uu] {
+                        continue;
+                    }
+                    if cur[uu] <= k {
+                        queued[uu] = true;
+                        next.push(u);
+                    } else {
+                        buckets[cur[uu]].push(u);
                     }
                 }
             }
@@ -405,6 +292,14 @@ pub fn par_peel<G: GraphView + Sync>(
         }
     }
     assemble(coreness, kmax, peel_order)
+}
+
+/// [`core_decomposition`] under the signature the end-to-end benchmark
+/// calls by name. The peel runs on the calling thread whatever `policy`
+/// says: the decrement fan-out it once had ran slower at two workers than
+/// at one (DESIGN.md §17).
+pub fn core_decomposition_with<G: GraphView>(g: &G, _policy: &ExecPolicy) -> CoreDecomposition {
+    core_decomposition(g)
 }
 
 #[cfg(test)]
@@ -525,22 +420,6 @@ mod tests {
         // the ends, in decrement (= frontier-scan) order.
         let d = core_decomposition(&regular::path(6));
         assert_eq!(d.peel_ordering(), &[0, 5, 1, 4, 2, 3]);
-    }
-
-    #[test]
-    fn forced_dispatch_is_bit_identical_to_one_thread() {
-        // The unit-level thread-invariance smoke; the full sweep
-        // (adversarial shapes, snapshot bytes, tags) lives in
-        // tests/peel_equivalence.rs.
-        for seed in 0..4 {
-            let g = generators::erdos_renyi_gnm(120, 400, seed);
-            let want = core_decomposition(&g);
-            for threads in [2, 4, 7] {
-                let policy = ExecPolicy::with_threads(threads).unwrap();
-                let got = par_peel(&g, &policy, 0);
-                assert_eq!(got, want, "seed {seed}, {threads} threads");
-            }
-        }
     }
 
     /// Definitional check: c(v) ≥ k iff v survives peeling to min degree k.

@@ -15,7 +15,9 @@
 //! edge / boundary counts, `O(m^1.5)` for triangle-based metrics, both with
 //! `O(m)` space. The peel adds an `O(n log n)` worst-case term: it sorts
 //! each level's opening frontier by id so the peel order is canonical
-//! (see [`decomposition`]).
+//! (see [`decomposition`]). The peel runs on the calling thread; the
+//! `*_with` entry points take an `ExecPolicy` for the stages whose second
+//! worker measurably pays, the Alg. 1 tag scan and the h-index rounds.
 //!
 //! ## Pipeline
 //!
@@ -69,7 +71,7 @@ pub mod weighted;
 pub use analysis::{analyze, analyze_basic, analyze_basic_with, analyze_with, BestKAnalysis};
 pub use bestcore::{best_single_core, single_core_profile, BestCore, SingleCoreProfile};
 pub use bestkset::{best_k_core_set, core_set_profile, BestKSet, CoreSetProfile};
-pub use decomposition::{core_decomposition, core_decomposition_with, par_peel, CoreDecomposition};
+pub use decomposition::{core_decomposition, core_decomposition_with, CoreDecomposition};
 pub use forest::{CoreForest, CoreForestNode};
 pub use metrics::{best_k, CommunityMetric, GraphContext, Metric, MetricError, PrimaryValues};
 pub use ordering::OrderedGraph;

@@ -35,8 +35,8 @@
 
 use bestk_core::bestkset::core_set_primaries;
 use bestk_core::{
-    core_decomposition, core_decomposition_with, BestKSet, CoreSetProfile, GraphContext, Metric,
-    MetricError, OrderedGraph, PrimaryValues,
+    core_decomposition, BestKSet, CoreSetProfile, GraphContext, Metric, MetricError, OrderedGraph,
+    PrimaryValues,
 };
 use bestk_exec::ExecPolicy;
 use bestk_graph::generators::EdgeOp;
@@ -82,20 +82,15 @@ impl DeltaIndex {
     /// also the equivalence oracle: applying ops must reproduce `build` of
     /// the mutated graph exactly).
     pub fn build<G: GraphView + Sync>(g: &G) -> DeltaIndex {
-        let decomp = core_decomposition(g);
-        Self::assemble_from(g, decomp)
+        Self::build_with(g, &ExecPolicy::Sequential)
     }
 
-    /// [`build`](Self::build) under an execution policy: the peel fans out
-    /// over the policy's workers (bit-identical output at every thread
-    /// count). perfbench seeds its traced side index through it.
+    /// [`build`](Self::build) under an execution policy: the Alg. 1 tag
+    /// scan runs on the policy's workers (bit-identical output at every
+    /// thread count). perfbench seeds its traced side index through it.
     pub fn build_with<G: GraphView + Sync>(g: &G, policy: &ExecPolicy) -> DeltaIndex {
-        let decomp = core_decomposition_with(g, policy);
-        Self::assemble_from(g, decomp)
-    }
-
-    fn assemble_from<G: GraphView>(g: &G, decomp: bestk_core::CoreDecomposition) -> DeltaIndex {
-        let ordered = OrderedGraph::build(g, &decomp);
+        let decomp = core_decomposition(g);
+        let ordered = OrderedGraph::build_with(g, &decomp, policy);
         let primaries = core_set_primaries(&ordered);
         let n = g.num_vertices();
         let offsets = g.degree_offsets();

@@ -18,7 +18,7 @@
 //! thread count.
 
 use bestk_core::{
-    core_decomposition_with, core_set_profile, single_core_profile, CoreDecomposition, CoreForest,
+    core_decomposition, core_set_profile, single_core_profile, CoreDecomposition, CoreForest,
     CoreSetProfile, OrderedGraph, SingleCoreProfile,
 };
 use bestk_exec::ExecPolicy;
@@ -57,7 +57,7 @@ impl Artifacts {
     /// (`O(m^1.5)` — triangles are always computed so triangle metrics
     /// answer without a rebuild).
     pub fn build<G: GraphView + Sync>(graph: &G, policy: &ExecPolicy) -> Artifacts {
-        let decomp = core_decomposition_with(graph, policy);
+        let decomp = core_decomposition(graph);
         let ordered = OrderedGraph::build_with(graph, &decomp, policy);
         let set_profile = core_set_profile(&ordered, true);
         let forest = CoreForest::build(graph, &decomp);
@@ -103,8 +103,9 @@ impl Artifacts {
 pub enum Index {
     /// No index resident; queries refuse until [`Dataset::ensure_built`].
     None,
-    /// Fully materialized heap artifacts (fresh builds).
-    Owned(Artifacts),
+    /// Fully materialized heap artifacts (fresh builds), boxed to keep
+    /// `Index` as small as its mapped variant.
+    Owned(Box<Artifacts>),
     /// Profiles plus mapped coreness from an opened snapshot.
     Mapped(MappedIndex),
 }
@@ -137,7 +138,7 @@ impl Dataset {
     pub fn from_built(graph: CsrGraph, artifacts: Artifacts) -> Dataset {
         Dataset {
             store: GraphStore::from(graph),
-            index: Index::Owned(artifacts),
+            index: Index::Owned(Box::new(artifacts)),
         }
     }
 
@@ -155,7 +156,7 @@ impl Dataset {
     pub fn with_artifacts(&self, artifacts: Artifacts) -> Dataset {
         Dataset {
             store: self.store.clone(),
-            index: Index::Owned(artifacts),
+            index: Index::Owned(Box::new(artifacts)),
         }
     }
 
@@ -186,7 +187,7 @@ impl Dataset {
     #[inline]
     pub fn artifacts(&self) -> Option<&Artifacts> {
         match &self.index {
-            Index::Owned(art) => Some(art),
+            Index::Owned(art) => Some(&**art),
             _ => None,
         }
     }
@@ -207,7 +208,7 @@ impl Dataset {
         if self.is_built() {
             return false;
         }
-        self.index = Index::Owned(Artifacts::build(&self.store, policy));
+        self.index = Index::Owned(Box::new(Artifacts::build(&self.store, policy)));
         true
     }
 

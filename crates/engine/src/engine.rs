@@ -28,7 +28,6 @@ use crate::dataset::{Artifacts, Dataset};
 use crate::error::EngineError;
 use crate::mutate::DeltaSlot;
 use crate::query::{Answer, Query};
-use crate::snapshot;
 
 /// How [`SharedEngine::load_snapshot_with_fallback`](crate::SharedEngine::load_snapshot_with_fallback)
 /// obtained the dataset.
@@ -153,7 +152,7 @@ impl Engine {
     /// charged.
     pub fn load_snapshot(&mut self, name: &str, path: &str) -> Result<(), EngineError> {
         let dataset = crate::open_snapshot_v2(path)?;
-        snapshot::check_graph(&dataset)?;
+        dataset.graph().check()?;
         let dataset = crate::mutate::replay_wal(dataset, &format!("{path}.wal"))?;
         self.register(name, dataset);
         Ok(())

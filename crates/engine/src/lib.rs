@@ -70,7 +70,7 @@ pub use serve::{
     handle_request, serve_lines, serve_lines_with, serve_on_listener, serve_tcp, Control,
     ServeLimits, Session,
 };
-pub use snapshot::{load_or_rebuild, RetryPolicy};
+pub use snapshot::{fnv1a, load_or_rebuild, RetryPolicy};
 pub use store::GraphStore;
 
 /// Opens a `.bestk` snapshot zero-copy, in one attempt (see

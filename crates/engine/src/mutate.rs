@@ -42,10 +42,11 @@
 //! unreadable or non-applying log is a typed error.
 //!
 //! Replay and every commit copy the whole committed graph, so both first
-//! pay a mapped snapshot's deferred graph-section check (see
-//! [`crate::snapv2`]; a passed check is remembered per mapping): a corrupt
-//! graph is a typed error, never folded into a heap graph or compacted
-//! back over the snapshot.
+//! pay a mapped snapshot's deferred graph-section check
+//! ([`GraphStore::check`]; a passed check is remembered by the mapped
+//! graph, so it holds after the index is evicted): a corrupt graph is a
+//! typed error, never folded into a heap graph or compacted back over the
+//! snapshot.
 
 use std::path::PathBuf;
 
@@ -167,7 +168,7 @@ fn commit_ops(
     // rewrite it under fresh checksums, so a mapped graph pays its deferred
     // check first: a corrupt snapshot fails the commit before anything
     // becomes durable.
-    crate::snapshot::check_graph(dataset)?;
+    dataset.graph().check()?;
     // Durability point: marker + fsync. On failure the ops stay staged and
     // the commit can be retried.
     if let Some(wal) = delta.wal.as_mut() {
@@ -296,7 +297,7 @@ pub(crate) fn replay_wal(dataset: Dataset, wal_path: &str) -> Result<Dataset, En
 /// the whole snapshot graph into the mutated one, so a mapped graph pays
 /// its deferred check first.
 fn apply_committed(dataset: &Dataset, ops: &[EdgeOp]) -> Result<Option<Dataset>, EngineError> {
-    crate::snapshot::check_graph(dataset)?;
+    dataset.graph().check()?;
     let mut overlay = DeltaOverlay::new(dataset.graph());
     for op in ops {
         if overlay.apply(*op).is_err() {
@@ -650,6 +651,39 @@ mod tests {
             load(&SharedEngine::with_budget(None), &snap).unwrap(),
             LoadOutcome::Loaded
         );
+        for f in [snap, wal] {
+            let _ = std::fs::remove_file(f);
+        }
+    }
+
+    #[test]
+    fn a_corrupt_graph_fails_the_commit_after_its_index_is_evicted() {
+        let dir = temp_dir("corrupt-evicted");
+        let snap = dir.join("g.bestk");
+        let wal = dir.join("g.bestk.wal");
+        let _ = std::fs::remove_file(&wal);
+        let mut ds = Dataset::from_graph(generators::paper_figure2());
+        ds.ensure_built(&policy());
+        crate::save_snapshot_v2_path(&ds, &snap).unwrap();
+        flip_graph_byte(&snap);
+
+        let eng = SharedEngine::with_budget(Some(1));
+        load(&eng, &snap).unwrap();
+        // Eviction drops `g`'s mapped index, not its mapped graph.
+        eng.insert_graph("other", generators::erdos_renyi_gnm(60, 200, 2));
+        eng.query("other", &Query::Stats, &policy()).unwrap();
+        assert!(!eng.dataset_rows()[0].built, "g must be evicted");
+        eng.stage_edge("g", EdgeOp::Insert(0, 11)).unwrap();
+        let err = eng.commit_edges("g", &policy()).unwrap_err();
+        assert!(
+            matches!(err, EngineError::ChecksumMismatch { section: "graph" }),
+            "{err}"
+        );
+        // The slot was put back with its op still staged.
+        assert_eq!(eng.pending_ops("g").unwrap(), 1);
+        drop(eng);
+        let (_, replayed) = DeltaLog::open(&wal).unwrap();
+        assert!(replayed.is_empty(), "no committed op in the log");
         for f in [snap, wal] {
             let _ = std::fs::remove_file(f);
         }

@@ -287,14 +287,6 @@ pub(crate) fn bad(section: &str, msg: String) -> EngineError {
     EngineError::BadSnapshot(format!("{section}: {msg}"))
 }
 
-/// Pays the graph-section check that opening defers
-/// ([`MappedIndex::validate_graph`](crate::snapv2::MappedIndex::validate_graph)).
-pub(crate) fn check_graph(dataset: &Dataset) -> Result<(), EngineError> {
-    dataset
-        .mapped_index()
-        .map_or(Ok(()), |index| index.validate_graph())
-}
-
 /// The resilient load ladder as a free function: open `path` (retrying
 /// transient I/O under `retry`); on corruption, quarantine the bad file
 /// and rebuild the full index from the `source` graph file if one is
@@ -315,7 +307,7 @@ pub fn load_or_rebuild(
 ) -> Result<(Dataset, LoadOutcome), EngineError> {
     let opened = crate::snapv2::open_with_retry(path, retry).and_then(|dataset| {
         if source.is_some() {
-            check_graph(&dataset)?;
+            dataset.graph().check()?;
         }
         Ok(dataset)
     });
@@ -460,7 +452,7 @@ mod tests {
                 FaultPlan::new(seed).site(sites::SNAPSHOT_READ, SiteSpec::always(Fault::BitFlip));
             bestk_faults::with_plan(&plan, || {
                 let loaded = crate::open_snapshot_v2(&path).and_then(|ds| {
-                    check_graph(&ds)?;
+                    ds.graph().check()?;
                     Ok(ds)
                 });
                 match loaded {

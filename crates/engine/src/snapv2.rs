@@ -47,16 +47,18 @@
 //! zero-copy open. The graph's `O(1)` framing header *is* cross-checked
 //! against the snapshot header, and every [`ByteCsr`] accessor is
 //! bounds-clamped, so corrupt adjacency bytes yield wrong answers, never
-//! a crash. [`MappedIndex::validate_graph`] pays for the full check. The
+//! a crash. [`GraphStore::check`] pays for the full check. The
 //! paths that can act on a bad graph run it: the strict
 //! [`Engine::load_snapshot`](crate::Engine::load_snapshot),
 //! [`load_or_rebuild`](crate::load_or_rebuild) with a rebuild source, and
 //! the paths that read the whole graph (write-ahead-log replay and every
-//! commit, see [`crate::mutate`]). A passed check is remembered for the
-//! mapping. Loads without a source (serving restarts) skip it.
+//! commit, see [`crate::mutate`]). The graph section's checksum and a
+//! passed check live on the mapped graph store ([`SnapshotSlice`]), not on
+//! the index, so they outlive an LRU eviction of the index. Loads without
+//! a source (serving restarts) skip it.
 
 use std::path::Path;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use bestk_core::{CoreSetProfile, GraphContext, SingleCoreProfile};
 use bestk_graph::{cast, ByteCsr, GraphView, VertexId};
@@ -192,12 +194,6 @@ pub struct MappedIndex {
     n: usize,
     kmax: u32,
     forest_nodes: u32,
-    graph_off: usize,
-    graph_len: usize,
-    graph_checksum: u64,
-    /// Set once [`MappedIndex::validate_graph`] has passed; shared by
-    /// clones, which view the same mapping.
-    graph_checked: Arc<OnceLock<()>>,
     set_profile: CoreSetProfile,
     core_profile: SingleCoreProfile,
 }
@@ -233,24 +229,6 @@ impl MappedIndex {
         let at = self.coreness_off + 4 * v;
         let b = &self.map.as_slice()[at..at + 4];
         Some(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Pays the deferred cost: hashes the mapped graph section against its
-    /// recorded checksum and structurally validates the CSR layout. This
-    /// faults the whole graph section in — exactly the work opening
-    /// skips. A passed check is remembered, so later calls are free.
-    pub fn validate_graph(&self) -> Result<(), EngineError> {
-        if self.graph_checked.get().is_some() {
-            return Ok(());
-        }
-        let body = &self.map.as_slice()[self.graph_off..self.graph_off + self.graph_len];
-        if fnv1a(body) != self.graph_checksum {
-            return Err(EngineError::ChecksumMismatch { section: "graph" });
-        }
-        let view = ByteCsr::new(body).map_err(EngineError::Graph)?;
-        view.validate_structure().map_err(EngineError::Graph)?;
-        let _ = self.graph_checked.set(());
-        Ok(())
     }
 
     /// Approximate heap bytes held by the decoded (non-mapped) parts.
@@ -415,7 +393,7 @@ pub fn open_mmap(map: Arc<Mmap>) -> Result<Dataset, EngineError> {
     let core_profile = decode_core_profile(cp_body, n, nnz, forest_nodes)?;
 
     // Graph: O(1) framing only, cross-checked against the header.
-    let slice = SnapshotSlice::new(Arc::clone(&map), graph_off, graph_len)
+    let slice = SnapshotSlice::new(Arc::clone(&map), graph_off, graph_len, graph_checksum)
         .ok_or(EngineError::Truncated { section: "graph" })?;
     let view = ByteCsr::new(slice).map_err(EngineError::Graph)?;
     if view.num_vertices() != n || 2 * view.num_edges() != nnz {
@@ -435,10 +413,6 @@ pub fn open_mmap(map: Arc<Mmap>) -> Result<Dataset, EngineError> {
         n,
         kmax,
         forest_nodes,
-        graph_off,
-        graph_len,
-        graph_checksum,
-        graph_checked: Arc::default(),
         set_profile,
         core_profile,
     };
@@ -671,7 +645,7 @@ mod tests {
     }
 
     #[test]
-    fn graph_body_corruption_defers_to_validate_graph() {
+    fn graph_body_corruption_defers_to_the_graph_check() {
         let ds = built(generators::paper_figure2());
         let bytes = to_bytes(&ds).unwrap();
         let graph_off = u64::from_le_bytes(bytes[72..80].try_into().unwrap()) as usize;
@@ -681,9 +655,8 @@ mod tests {
         // header the open path does read).
         b[graph_off + graph_len - 1] ^= 0x01;
         let mapped = open_mmap(Arc::new(Mmap::from_vec(b))).expect("open must not read the body");
-        let idx = mapped.mapped_index().unwrap();
         assert!(matches!(
-            idx.validate_graph().unwrap_err(),
+            mapped.graph().check().unwrap_err(),
             EngineError::ChecksumMismatch { section: "graph" }
         ));
         // Profile-backed queries still answer correctly.
@@ -702,7 +675,7 @@ mod tests {
         );
         // And the intact original validates clean.
         let good = open_mmap(Arc::new(Mmap::from_vec(bytes))).unwrap();
-        good.mapped_index().unwrap().validate_graph().unwrap();
+        good.graph().check().unwrap();
     }
 
     #[test]

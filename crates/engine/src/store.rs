@@ -11,10 +11,11 @@
 //! algorithm and every query answer is bit-identical across them
 //! (property-tested in `tests/backend_equivalence.rs`).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bestk_graph::{ByteCsr, CsrGraph, GraphView, Neighbors, VertexId};
 
+use crate::error::EngineError;
 use crate::mmap::Mmap;
 
 /// A window into a shared memory-mapped snapshot: the byte holder behind
@@ -25,22 +26,52 @@ pub struct SnapshotSlice {
     map: Arc<Mmap>,
     off: usize,
     len: usize,
+    /// The section table's checksum of these bytes.
+    checksum: u64,
+    /// Set once `check` has passed; shared by clones, which view the same
+    /// bytes.
+    checked: Arc<OnceLock<()>>,
 }
 
 impl SnapshotSlice {
-    /// Slices `map[off .. off + len]`; `None` when the range falls outside
-    /// the mapping (a corrupt section table, typically).
-    pub fn new(map: Arc<Mmap>, off: usize, len: usize) -> Option<SnapshotSlice> {
+    /// Slices `map[off .. off + len]`, whose bytes the snapshot's section
+    /// table records under `checksum` ([`fnv1a`](crate::fnv1a)); `None`
+    /// when the range falls outside the mapping (a corrupt section table,
+    /// typically).
+    pub fn new(map: Arc<Mmap>, off: usize, len: usize, checksum: u64) -> Option<SnapshotSlice> {
         let end = off.checked_add(len)?;
         if end > map.len() {
             return None;
         }
-        Some(SnapshotSlice { map, off, len })
+        Some(SnapshotSlice {
+            map,
+            off,
+            len,
+            checksum,
+            checked: Arc::default(),
+        })
     }
 
     /// The shared mapping this slice borrows from.
     pub fn mapping(&self) -> &Arc<Mmap> {
         &self.map
+    }
+
+    /// Pays the check that opening a snapshot defers: hashes the bytes
+    /// against their recorded checksum and validates the CSR layout they
+    /// hold. This faults every byte in; a passed check is remembered, so
+    /// later calls are free.
+    pub(crate) fn check(&self) -> Result<(), EngineError> {
+        if self.checked.get().is_some() {
+            return Ok(());
+        }
+        if crate::snapshot::fnv1a(self.as_ref()) != self.checksum {
+            return Err(EngineError::ChecksumMismatch { section: "graph" });
+        }
+        let view = ByteCsr::new(self.as_ref()).map_err(EngineError::Graph)?;
+        view.validate_structure().map_err(EngineError::Graph)?;
+        let _ = self.checked.set(());
+        Ok(())
     }
 }
 
@@ -70,6 +101,18 @@ impl GraphStore {
         match self {
             GraphStore::Csr(g) => g.heap_bytes(),
             GraphStore::Mapped(_) => 0,
+        }
+    }
+
+    /// Checks a mapped graph's bytes against the checksum its snapshot's
+    /// section table records and validates their CSR layout: the check
+    /// opening defers. The paths that act on a possibly bad graph pay it:
+    /// strict loads, loads with a rebuild source, log replay and every
+    /// commit. A CSR store was built in memory and always passes.
+    pub fn check(&self) -> Result<(), EngineError> {
+        match self {
+            GraphStore::Csr(_) => Ok(()),
+            GraphStore::Mapped(b) => b.bytes().check(),
         }
     }
 
@@ -190,8 +233,8 @@ mod tests {
         let csr = GraphStore::from(g.clone());
         let bytes = bestk_graph::bytecsr::encode_view(&g);
         let map = Arc::new(Mmap::from_vec(bytes));
-        let len = map.len();
-        let slice = SnapshotSlice::new(map, 0, len).unwrap();
+        let (len, sum) = (map.len(), crate::snapshot::fnv1a(map.as_slice()));
+        let slice = SnapshotSlice::new(map, 0, len, sum).unwrap();
         let mapped = GraphStore::Mapped(ByteCsr::new(slice).unwrap());
         for store in [&csr, &mapped] {
             assert_eq!(observations(store), base, "{store:?}");
@@ -207,9 +250,10 @@ mod tests {
         let csr = GraphStore::from(g.clone());
         let bytes = bestk_graph::bytecsr::encode_view(&g);
         let map = Arc::new(Mmap::from_vec(bytes));
-        let len = map.len();
-        let mapped =
-            GraphStore::Mapped(ByteCsr::new(SnapshotSlice::new(map, 0, len).unwrap()).unwrap());
+        let (len, sum) = (map.len(), crate::snapshot::fnv1a(map.as_slice()));
+        let mapped = GraphStore::Mapped(
+            ByteCsr::new(SnapshotSlice::new(map, 0, len, sum).unwrap()).unwrap(),
+        );
         for store in [&csr, &mapped] {
             assert_eq!(*store.as_csr().unwrap(), g, "{store:?}");
         }
@@ -218,8 +262,8 @@ mod tests {
     #[test]
     fn snapshot_slice_rejects_out_of_range() {
         let map = Arc::new(Mmap::from_vec(vec![0u8; 10]));
-        assert!(SnapshotSlice::new(Arc::clone(&map), 4, 6).is_some());
-        assert!(SnapshotSlice::new(Arc::clone(&map), 4, 7).is_none());
-        assert!(SnapshotSlice::new(map, usize::MAX, 2).is_none());
+        assert!(SnapshotSlice::new(Arc::clone(&map), 4, 6, 0).is_some());
+        assert!(SnapshotSlice::new(Arc::clone(&map), 4, 7, 0).is_none());
+        assert!(SnapshotSlice::new(map, usize::MAX, 2, 0).is_none());
     }
 }

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use bestk_core::Metric;
 use bestk_engine::store::SnapshotSlice;
-use bestk_engine::{mmap::Mmap, snapv2, Dataset, EngineError, GraphStore, Query};
+use bestk_engine::{fnv1a, mmap::Mmap, snapv2, Dataset, EngineError, GraphStore, Query};
 use bestk_exec::ExecPolicy;
 use bestk_graph::{bytecsr, testkit, ByteCsr, CsrGraph, GraphView};
 
@@ -56,8 +56,8 @@ fn backends_observe_identically_on_random_graphs() {
         // arm's `has_edge`, and builds address adjacency slots and chunk
         // weights through `adjacency_start` and `degree_offsets`.
         let map = Arc::new(Mmap::from_vec(bytecsr::encode_view(&g)));
-        let len = map.len();
-        let slice = SnapshotSlice::new(map, 0, len).expect("slice");
+        let (len, sum) = (map.len(), fnv1a(map.as_slice()));
+        let slice = SnapshotSlice::new(map, 0, len, sum).expect("slice");
         let mapped = GraphStore::Mapped(ByteCsr::new(slice).expect("framing"));
         assert_eq!(mapped.num_vertices(), g.num_vertices(), "case {case}");
         assert_eq!(mapped.num_edges(), g.num_edges(), "case {case}");
@@ -169,7 +169,7 @@ fn open_defers_the_graph_checksum_until_asked() {
     // copying the section, each flip would fail the open. It must not —
     // the profile sections alone answer best-k queries, so the open stays
     // O(header + profiles) and the graph checksum is paid only by
-    // `validate_graph`. The section's own 16-byte framing header is the
+    // `GraphStore::check`. The section's own 16-byte framing header is the
     // one part `open` *does* read (its O(1) n/nnz cross-check), so the
     // sweep starts past it.
     assert!(len > 16, "graph section has a body to corrupt");
@@ -179,9 +179,8 @@ fn open_defers_the_graph_checksum_until_asked() {
         match snapv2::open_mmap(Arc::new(Mmap::from_vec(corrupt))) {
             Err(e) => panic!("open read the graph body (byte {delta}): {e}"),
             Ok(mapped) => {
-                let idx = mapped.mapped_index().expect("mapped index");
                 assert!(
-                    idx.validate_graph().is_err(),
+                    mapped.graph().check().is_err(),
                     "byte {delta}: deferred validation missed the corruption"
                 );
                 // Profile-backed answers are untouched by graph-body damage.
@@ -197,8 +196,7 @@ fn open_defers_the_graph_checksum_until_asked() {
     // And on the pristine bytes the deferred validation passes.
     let clean = snapv2::open_mmap(Arc::new(Mmap::from_vec(bytes))).expect("open");
     clean
-        .mapped_index()
-        .expect("mapped index")
-        .validate_graph()
+        .graph()
+        .check()
         .expect("pristine graph section validates");
 }

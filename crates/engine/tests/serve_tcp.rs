@@ -8,10 +8,15 @@
 //! Both tests assert exact `serve.requests` deltas from the process-global
 //! metrics registry, so they serialize on a local gate (like the chaos
 //! suite does for the fault plan) instead of relying on sleeps.
+//!
+//! A client thread that fails ends the server through [`QuitOnPanic`],
+//! and the test re-raises the client's panic, so a failure names the
+//! client's own assertion instead of leaving the server in `accept`.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bestk_engine::{save_snapshot_v2_path, serve_on_listener, Dataset, ServeLimits, SharedEngine};
@@ -24,6 +29,27 @@ use bestk_graph::generators;
 fn gate() -> MutexGuard<'static, ()> {
     static GATE: Mutex<()> = Mutex::new(());
     GATE.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Held by a client thread: if the thread panics, the drop connects once
+/// more and sends `quit`, so `serve_on_listener` returns.
+struct QuitOnPanic(SocketAddr);
+
+impl Drop for QuitOnPanic {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            if let Ok(mut stream) = TcpStream::connect(self.0) {
+                let _ = writeln!(stream, "quit");
+            }
+        }
+    }
+}
+
+/// Joins a client thread, re-raising its panic with the client's message.
+fn join<T>(client: JoinHandle<T>) -> T {
+    client
+        .join()
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
 }
 
 fn served_requests() -> u64 {
@@ -49,6 +75,7 @@ fn tcp_round_trip_with_real_client() {
     let before = served_requests();
 
     let client = std::thread::spawn(move || -> Vec<String> {
+        let _quit = QuitOnPanic(addr);
         let stream = TcpStream::connect(addr).expect("connect");
         let mut reader = BufReader::new(stream.try_clone().expect("clone"));
         let mut writer = stream;
@@ -71,16 +98,15 @@ fn tcp_round_trip_with_real_client() {
     });
 
     let engine = SharedEngine::with_budget(None);
-    serve_on_listener(
+    let served = serve_on_listener(
         &engine,
         &ExecPolicy::Sequential,
         &listener,
         Some(Duration::from_secs(5)),
         &ServeLimits::default(),
-    )
-    .expect("serve");
-
-    let replies = client.join().expect("client thread");
+    );
+    let replies = join(client);
+    served.expect("serve");
     assert_eq!(replies[0], "ok\tloaded\tfig2");
     assert_eq!(replies[1], "ok\tstats\tn=12\tm=19\tkmax=3\tcores=3");
     assert_eq!(
@@ -108,6 +134,7 @@ fn tcp_server_survives_client_hangup_and_timeout() {
     let before = served_requests();
 
     let client = std::thread::spawn(move || {
+        let _quit = QuitOnPanic(addr);
         // Connection 1: send one request, then hang up without `quit`.
         {
             let stream = TcpStream::connect(addr).expect("connect 1");
@@ -138,15 +165,15 @@ fn tcp_server_survives_client_hangup_and_timeout() {
     });
 
     let engine = SharedEngine::with_budget(None);
-    serve_on_listener(
+    let served = serve_on_listener(
         &engine,
         &ExecPolicy::Sequential,
         &listener,
         Some(Duration::from_millis(40)),
         &ServeLimits::default(),
-    )
-    .expect("serve");
-    client.join().expect("client thread");
+    );
+    join(client);
+    served.expect("serve");
     assert_eq!(engine.counters().loads, 1);
     // load + query + quit were admitted; the silent connection contributed
     // no requests before its timeout.

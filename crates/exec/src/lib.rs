@@ -1,10 +1,13 @@
 //! # bestk-exec
 //!
-//! The workspace's shared execution-policy runtime. Every embarrassingly
-//! parallel kernel in the workspace — triangle counting, h-index rounds,
-//! CSR construction passes, truss support initialization, per-k metric
-//! sweeps — routes its loop structure through an [`ExecPolicy`] instead of
-//! hand-rolling `std::thread` plumbing. That buys three things:
+//! The workspace's shared execution-policy runtime. The kernels whose
+//! second worker measurably pays — the Alg. 1 position-tag scan, h-index
+//! rounds and truss support counting — and the engine's query batches
+//! route their loop structure through an [`ExecPolicy`] instead of
+//! hand-rolling `std::thread` plumbing. The peel, CSR construction and the
+//! per-k score sweeps run on the calling thread: fanned out, they ran
+//! slower at two workers than at one, so their fan-outs were deleted
+//! (DESIGN.md §9). The runtime buys three things:
 //!
 //! 1. **One scheduling strategy.** Work is split into contiguous chunks
 //!    (evenly, or edge-balanced via [`ChunkPlan::weighted`] for skewed

@@ -95,20 +95,6 @@ impl ExecPolicy {
         ChunkPlan::weighted(prefix, self.chunk_target(prefix.len() - 1))
     }
 
-    /// The scoped chunked `parallel_for`: runs `body` once per chunk of
-    /// `plan`, with a per-worker scratch from `init`.
-    ///
-    /// `body` receives `(scratch, chunk index, item range)`. Chunks are
-    /// claimed dynamically, so skewed chunk costs rebalance across workers;
-    /// use a weighted plan when per-item costs vary (degree-shaped work).
-    pub fn parallel_for<S, F>(&self, plan: &ChunkPlan, init: impl Fn() -> S + Sync, body: F)
-    where
-        S: Send,
-        F: Fn(&mut S, usize, Range<usize>) + Sync,
-    {
-        self.map_chunks(plan, init, |scratch, c, range| body(scratch, c, range));
-    }
-
     /// Maps every chunk of `plan` to a value, returning the values **in
     /// chunk order** (the deterministic-merge primitive the equality
     /// property tests rely on).
@@ -315,20 +301,20 @@ mod tests {
     }
 
     #[test]
-    fn parallel_for_with_scratch_visits_every_index() {
-        use std::sync::atomic::AtomicU64;
+    fn map_reduce_with_scratch_visits_every_index() {
         let p = ExecPolicy::with_threads(4).unwrap();
         let plan = p.plan_even(1000);
-        let sum = AtomicU64::new(0);
-        p.parallel_for(
+        let sum = p.map_reduce(
             &plan,
             || 0u64,
             |local, _, range| {
                 *local = range.map(|i| i as u64).sum();
-                sum.fetch_add(*local, Ordering::Relaxed);
+                *local
             },
+            0u64,
+            |acc, part| acc + part,
         );
-        assert_eq!(sum.into_inner(), 999 * 1000 / 2);
+        assert_eq!(sum, 999 * 1000 / 2);
     }
 
     #[test]
@@ -362,7 +348,7 @@ mod tests {
         let p = ExecPolicy::with_threads(2).unwrap();
         let plan = ChunkPlan::even(8, 8);
         let hit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            p.parallel_for(
+            p.map_chunks(
                 &plan,
                 || (),
                 |_, c, _| {

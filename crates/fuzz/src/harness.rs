@@ -42,7 +42,7 @@ pub enum Surface {
     /// `read_metis`, `read_binary`).
     GraphIo,
     /// The `.bestk` snapshot opener (`open_mmap` over `BESTKSS2`) and the
-    /// deferred graph-section check (`validate_graph`).
+    /// deferred graph-section check (`GraphStore::check`).
     Snapshot,
     /// The `BESTKWAL1` write-ahead-log replayer (`replay_bytes`).
     Wal,
@@ -192,10 +192,7 @@ fn check_snapshot(bytes: &[u8], _budget: usize) -> Check {
     contained(|| match bestk_engine::snapv2::open_mmap(map) {
         // The strict loads follow the open with the deferred graph check,
         // so hostile graph bytes must meet a typed error there too.
-        Ok(ds) => match ds
-            .mapped_index()
-            .map_or(Ok(()), |index| index.validate_graph())
-        {
+        Ok(ds) => match ds.graph().check() {
             Ok(()) => snapshot_verdict(&ds, bytes.len()),
             Err(_) => Check::TypedError,
         },

@@ -1,12 +1,4 @@
 //! Linear-time construction of [`CsrGraph`] from edge streams.
-//!
-//! bestk-analyze: allow-file(raw-atomic) — parallel degree counting uses
-//! relaxed `fetch_add` on disjoint-by-value counters; addition commutes, so
-//! the totals are schedule-invariant and identical to the sequential path.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use bestk_exec::ExecPolicy;
 
 use crate::csr::{CsrGraph, VertexId};
 
@@ -90,15 +82,6 @@ impl GraphBuilder {
 
     /// Builds the graph, consuming the builder.
     pub fn build(self) -> CsrGraph {
-        self.build_with(&ExecPolicy::Sequential)
-    }
-
-    /// Builds the graph under an execution policy: the degree-count and
-    /// per-adjacency sort passes route through `policy`, while the stable
-    /// counting sorts stay sequential (their scatter order is the
-    /// algorithm). The resulting graph is bit-identical at every thread
-    /// count.
-    pub fn build_with(self, policy: &ExecPolicy) -> CsrGraph {
         let n = self
             .edges
             .iter()
@@ -106,88 +89,46 @@ impl GraphBuilder {
             .max()
             .unwrap_or(0)
             .max(self.min_vertices);
-        build_csr(n, self.edges, policy)
+        build_csr(n, self.edges)
     }
 }
 
 /// Counting-sort construction of a deduplicated CSR from canonicalized edges
-/// (`u < v`, no self loops). Two passes: scatter by `u`, then per-adjacency
-/// dedup after a stable scatter by the opposite endpoint.
-fn build_csr(n: usize, mut edges: Vec<(VertexId, VertexId)>, policy: &ExecPolicy) -> CsrGraph {
-    // Sort canonical edges lexicographically via two stable counting passes
-    // (radix over the two endpoints), then dedup.
+/// (`u < v`, no self loops): two stable counting passes (radix over the two
+/// endpoints) sort the edges lexicographically, then one scatter writes
+/// both directions of each edge.
+///
+/// The scatter needs no sort afterwards. Every edge `(u, w)` with `u < w`
+/// comes before every edge `(w, v)` with `w < v`, so `w`'s list receives
+/// its smaller neighbors `u` first, in ascending order (the sort's major
+/// key), and then its larger neighbors `v`, in ascending order (its minor
+/// key within `w`'s run): each list is written strictly ascending.
+fn build_csr(n: usize, mut edges: Vec<(VertexId, VertexId)>) -> CsrGraph {
     if !edges.is_empty() {
         edges = counting_sort_by(edges, n, |&(_, v)| v as usize);
         edges = counting_sort_by(edges, n, |&(u, _)| u as usize);
         edges.dedup();
     }
-
-    let deg = count_degrees(n, &edges, policy);
-    let mut offsets = Vec::with_capacity(n + 1);
+    let mut offsets = vec![0usize; n + 1];
+    for &(u, v) in &edges {
+        // bestk-analyze: allow(unchecked-arith) — counts bounded by the in-memory edge count
+        offsets[u as usize + 1] += 1;
+        offsets[v as usize + 1] += 1; // bestk-analyze: allow(unchecked-arith) — same bound as above
+    }
     let mut acc = 0usize;
-    offsets.push(0);
-    for d in &deg {
-        acc += d;
-        offsets.push(acc);
+    for slot in &mut offsets {
+        acc += *slot;
+        *slot = acc;
     }
     let mut cursor = offsets.clone();
-    let mut neighbors: Vec<VertexId> = vec![0; acc];
+    let mut neighbors: Vec<VertexId> = vec![0; offsets[n]];
     for &(u, v) in &edges {
         neighbors[cursor[u as usize]] = v;
         cursor[u as usize] += 1;
         neighbors[cursor[v as usize]] = u;
         cursor[v as usize] += 1;
     }
-    // Each adjacency list is the interleaving of two already-sorted runs
-    // (neighbors below w from edges (u, w), neighbors above w from edges
-    // (w, v)); `sort_unstable` on the short slice hits its adaptive merge
-    // fast path, keeping construction effectively linear. The lists are
-    // disjoint output regions, so the pass runs edge-balanced in parallel.
-    let plan = policy.plan_weighted(&offsets);
-    let cuts: Vec<usize> = plan.bounds().iter().map(|&b| offsets[b]).collect();
-    let offsets_ref = &offsets;
-    policy.for_each_disjoint(
-        &plan,
-        &mut neighbors,
-        &cuts,
-        || (),
-        |(), _, vertices, region| {
-            let base = offsets_ref[vertices.start];
-            for w in vertices {
-                // bestk-analyze: allow(unchecked-arith) — prefix-sum offsets are monotone, base <= offsets[w]
-                region[offsets_ref[w] - base..offsets_ref[w + 1] - base].sort_unstable();
-            }
-        },
-    );
     CsrGraph::from_parts(offsets, neighbors)
-}
-
-/// Degree count over both endpoints of the canonical edge list. Sequential
-/// policies use plain counters; parallel ones accumulate into shared atomic
-/// counters (addition commutes, so the totals are identical either way).
-fn count_degrees(n: usize, edges: &[(VertexId, VertexId)], policy: &ExecPolicy) -> Vec<usize> {
-    if !policy.is_parallel() || edges.len() < 2 {
-        let mut deg = vec![0usize; n];
-        for &(u, v) in edges {
-            // bestk-analyze: allow(unchecked-arith) — counts bounded by the in-memory edge count
-            deg[u as usize] += 1;
-            deg[v as usize] += 1; // bestk-analyze: allow(unchecked-arith) — same bound as above
-        }
-        return deg;
-    }
-    let deg: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-    let plan = policy.plan_even(edges.len());
-    policy.parallel_for(
-        &plan,
-        || (),
-        |(), _, range| {
-            for &(u, v) in &edges[range] {
-                deg[u as usize].fetch_add(1, Ordering::Relaxed);
-                deg[v as usize].fetch_add(1, Ordering::Relaxed);
-            }
-        },
-    );
-    deg.into_iter().map(AtomicUsize::into_inner).collect()
 }
 
 fn counting_sort_by<T: Copy>(items: Vec<T>, buckets: usize, key: impl Fn(&T) -> usize) -> Vec<T> {
@@ -279,26 +220,6 @@ mod tests {
         b.add_edge(0, 1);
         b.add_edge(1, 1); // dropped
         assert_eq!(b.pending_edges(), 1);
-    }
-
-    #[test]
-    fn build_with_matches_sequential_build() {
-        use crate::testkit::check;
-        check("builder_parallel_equals_sequential", 24, |gen| {
-            let n = gen.u32_in(2, 60);
-            let edges = gen.edges(n, 300);
-            let mut seq = GraphBuilder::new();
-            seq.reserve_vertices(n as usize);
-            seq.extend_edges(edges.iter().copied());
-            let reference = seq.build();
-            for threads in [1, 2, 4, 7] {
-                let mut b = GraphBuilder::new();
-                b.reserve_vertices(n as usize);
-                b.extend_edges(edges.iter().copied());
-                let g = b.build_with(&ExecPolicy::with_threads(threads).unwrap());
-                assert_eq!(g, reference, "{threads} threads");
-            }
-        });
     }
 
     #[test]

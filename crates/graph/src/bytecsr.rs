@@ -71,10 +71,10 @@ impl<B: AsRef<[u8]>> ByteCsr<B> {
         Ok(ByteCsr { bytes, n, nnz })
     }
 
-    /// The backing bytes.
+    /// The backing byte holder.
     #[inline]
-    pub fn bytes(&self) -> &[u8] {
-        self.bytes.as_ref()
+    pub fn bytes(&self) -> &B {
+        &self.bytes
     }
 
     /// Clamped offset of vertex slot `i` (`0..=n`): corrupt offset bytes

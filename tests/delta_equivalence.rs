@@ -296,8 +296,8 @@ fn triangle_rebuild_after_parallel_commit_matches_cold_sequential() {
 /// `g` behind the engine's mapped store, as a loaded snapshot holds it.
 fn mapped(g: &CsrGraph) -> GraphStore {
     let map = Arc::new(Mmap::from_vec(bytecsr::encode_view(g)));
-    let len = map.len();
-    let slice = SnapshotSlice::new(map, 0, len).expect("slice");
+    let (len, sum) = (map.len(), bestk_engine::fnv1a(map.as_slice()));
+    let slice = SnapshotSlice::new(map, 0, len, sum).expect("slice");
     GraphStore::Mapped(ByteCsr::new(slice).expect("framing"))
 }
 

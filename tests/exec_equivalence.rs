@@ -11,7 +11,6 @@
 use bestk::core::{analyze, analyze_with, core_decomposition, CommunityMetric, Metric};
 use bestk::exec::ExecPolicy;
 use bestk::graph::testkit::check;
-use bestk::graph::GraphBuilder;
 use bestk::truss::decomposition::{truss_decomposition_exec, truss_decomposition_with_index};
 use bestk::truss::EdgeIndex;
 
@@ -56,27 +55,6 @@ fn analyze_pipeline_is_thread_count_invariant() {
                     m.name()
                 );
             }
-        }
-    });
-}
-
-#[test]
-fn csr_build_is_thread_count_invariant() {
-    check("exec_csr_build_equivalence", 16, |gen| {
-        let g = gen.graph(70, 300);
-        let edges: Vec<(u32, u32)> = g.edges().collect();
-        for threads in THREADS {
-            let policy = ExecPolicy::with_threads(threads).unwrap();
-            let mut b = GraphBuilder::new();
-            b.reserve_vertices(g.num_vertices());
-            b.extend_edges(edges.iter().copied());
-            let built = b.build_with(&policy);
-            assert_eq!(built.offsets(), g.offsets(), "{threads} threads");
-            assert_eq!(
-                built.raw_neighbors(),
-                g.raw_neighbors(),
-                "{threads} threads"
-            );
         }
     });
 }

@@ -1,11 +1,13 @@
 //! The differential test layer for the peel.
 //!
-//! One bucket-frontier peel ([`par_peel`]) backs [`core_decomposition`]
-//! and [`core_decomposition_with`]. This suite proves its output is
-//! **bit-identical** at every thread count — coreness, rank order, shell
-//! boundaries, the peel order itself, the Alg. 1 position tags, the Alg. 2
-//! per-k primaries, and the serialized `.bestk` snapshot bytes — by
-//! forcing every sub-round through the parallel dispatch at threads
+//! One bucket-frontier peel, [`core_decomposition`], runs on the calling
+//! thread; [`core_decomposition_with`] is the same call under a policy.
+//! This suite proves the peel matches an independent reference peel, and
+//! that everything built on it is **bit-identical** at every thread count
+//! — coreness, rank order, shell boundaries, the peel order itself, the
+//! Alg. 1 position tags, the Alg. 2 per-k primaries, and the serialized
+//! `.bestk` snapshot bytes — by building the policy-driven stages
+//! (`OrderedGraph::build_with`, `Dataset::ensure_built`) at threads
 //! {1, 2, 4, 7} and comparing against the one-thread run, over random
 //! graphs and the adversarial shapes (`k_chain`, `shell_ladder`,
 //! `tie_storm`, max-degeneracy cliques).
@@ -26,8 +28,7 @@
 mod common;
 
 use bestk::core::{
-    core_decomposition, core_decomposition_with, core_set_profile, par_peel, CoreDecomposition,
-    OrderedGraph,
+    core_decomposition, core_decomposition_with, core_set_profile, CoreDecomposition, OrderedGraph,
 };
 use bestk::exec::ExecPolicy;
 use bestk::graph::generators::{self, regular};
@@ -35,12 +36,10 @@ use bestk::graph::testkit::{check, Gen};
 use bestk::graph::{CsrGraph, VertexId};
 use bestk_engine::Dataset;
 
-/// Thread counts the forced dispatch is exercised at. 7 is deliberately
-/// prime and larger than the chunk-per-worker alignment assumptions.
+/// Thread counts the policy-driven stages are exercised at. 7 is
+/// deliberately prime and larger than the chunk-per-worker alignment
+/// assumptions.
 const THREADS: [usize; 4] = [1, 2, 4, 7];
-
-/// Forces every sub-round through `for_each_disjoint`, however small.
-const FORCE_PARALLEL: usize = 0;
 
 /// Serializes the tests within this binary: `bestk::obs::with_fresh` swaps
 /// the process-global metrics registry, so a sibling test peeling while
@@ -50,10 +49,9 @@ fn gate() -> std::sync::MutexGuard<'static, ()> {
     GATE.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Asserts the one-thread run has the reference coreness and peel order,
-/// and that forced dispatch reproduces it bit-for-bit at every thread
-/// count, including the downstream artifacts the sweep consumes (tags and
-/// per-k primaries).
+/// Asserts the peel has the reference coreness and peel order, and that
+/// the stages built on it reproduce the one-thread artifacts the sweep
+/// consumes (tags and per-k primaries) bit-for-bit at every thread count.
 fn assert_thread_invariant(g: &CsrGraph, context: &str) {
     let want = core_decomposition(g);
     let r = reference_peel(g);
@@ -71,9 +69,7 @@ fn assert_thread_invariant(g: &CsrGraph, context: &str) {
     let want_profile = core_set_profile(&want_ordered, true);
     for threads in THREADS {
         let policy = ExecPolicy::with_threads(threads).unwrap();
-        let got = par_peel(g, &policy, FORCE_PARALLEL);
-        assert_eq!(got, want, "{context}: decomposition at {threads} threads");
-        let ordered = OrderedGraph::build_with(g, &got, &policy);
+        let ordered = OrderedGraph::build_with(g, &want, &policy);
         assert_eq!(
             ordered.raw_tags(),
             want_ordered.raw_tags(),
@@ -84,8 +80,7 @@ fn assert_thread_invariant(g: &CsrGraph, context: &str) {
             profile.primaries, want_profile.primaries,
             "{context}: Alg. 2 primaries at {threads} threads"
         );
-        // The policy-dispatched entry point (production min-work gate)
-        // must agree too, not just the forced-dispatch path.
+        // The policy-taking entry point the benchmark calls must agree.
         assert_eq!(
             core_decomposition_with(g, &policy),
             want,
@@ -145,7 +140,7 @@ fn adversarial_shapes_are_bit_identical() {
 }
 
 #[test]
-fn snapshot_bytes_are_identical_under_both_strategies() {
+fn snapshot_bytes_are_identical_at_every_thread_count() {
     let _g = gate();
     // The end-to-end determinism contract: a dataset built under a
     // parallel policy serializes to the *same bytes* as one built under
@@ -306,13 +301,11 @@ fn assert_frontier_invariants(g: &CsrGraph, d: &CoreDecomposition, context: &str
 }
 
 #[test]
-fn frontier_and_bucket_invariants_hold_inline_and_fanned_out() {
+fn frontier_and_bucket_invariants_hold() {
     let _g = gate();
     check("peel frontier invariants", 16, |gen: &mut Gen| {
         let g = gen.graph(40, 140);
         assert_frontier_invariants(&g, &core_decomposition(&g), "one thread");
-        let policy = ExecPolicy::with_threads(4).unwrap();
-        assert_frontier_invariants(&g, &par_peel(&g, &policy, FORCE_PARALLEL), "4 threads");
     });
 }
 
@@ -320,11 +313,11 @@ fn frontier_and_bucket_invariants_hold_inline_and_fanned_out() {
 fn observed_rounds_and_frontier_sizes_are_thread_count_invariant() {
     use std::sync::Arc;
     let _g = gate();
-    // The inline and the fanned-out runs must report the identical
-    // canonical round structure to bestk-obs — that is what keeps the
-    // metrics golden stable across thread counts — and the histogram must
-    // account for every vertex exactly once (frontier disjointness,
-    // observed externally).
+    // A build at every thread count must report the identical canonical
+    // round structure to bestk-obs — that is what keeps the metrics golden
+    // stable across thread counts — and the histogram must account for
+    // every vertex exactly once (frontier disjointness, observed
+    // externally).
     let clock = || Arc::new(bestk::obs::ManualClock::with_step(1)) as Arc<dyn bestk::obs::Clock>;
     for g in [
         generators::shell_ladder(6, 8),
@@ -342,7 +335,7 @@ fn observed_rounds_and_frontier_sizes_are_thread_count_invariant() {
         for threads in THREADS {
             let policy = ExecPolicy::with_threads(threads).unwrap();
             let ((), par) = bestk::obs::with_fresh(clock(), || {
-                par_peel(&g, &policy, FORCE_PARALLEL);
+                Dataset::from_graph(g.clone()).ensure_built(&policy);
             });
             assert_eq!(par.counter("phase.peel.rounds"), Some(rounds), "{threads}");
             assert_eq!(

@@ -12,7 +12,41 @@ use bestk::core::{
     core_decomposition, CommunityMetric, CoreForest, Metric, OrderedGraph,
 };
 use bestk::graph::testkit::check;
-use bestk::graph::VertexId;
+use bestk::graph::{GraphBuilder, VertexId};
+
+/// The builder turns any edge list — both orientations, duplicates and
+/// self loops included — into a graph the CSR verifier accepts, holding
+/// exactly the input's canonical, deduplicated edge set.
+#[test]
+fn builder_output_is_the_canonical_edge_set() {
+    check("builder_output_is_the_canonical_edge_set", 64, |gen| {
+        let n = gen.u32_in(1, 80);
+        let mut edges = gen.edges(n, 400);
+        let reversed: Vec<(VertexId, VertexId)> = edges
+            .iter()
+            .filter(|_| gen.bool_with(0.3))
+            .map(|&(u, v)| (v, u))
+            .collect();
+        edges.extend(reversed);
+        for _ in 0..gen.usize_in(0, 6) {
+            let v = gen.u32_in(0, n);
+            edges.push((v, v));
+        }
+        let mut b = GraphBuilder::new();
+        b.reserve_vertices(n as usize);
+        b.extend_edges(edges.iter().copied());
+        let g = b.build();
+        bestk::graph::verify::verify_graph(&g).expect("built graph fails the CSR verifier");
+        let want: std::collections::BTreeSet<(VertexId, VertexId)> = edges
+            .iter()
+            .filter(|&&(u, v)| u != v)
+            .map(|&(u, v)| (u.min(v), u.max(v)))
+            .collect();
+        assert_eq!(g.num_vertices(), n as usize);
+        assert_eq!(g.edges().collect::<std::collections::BTreeSet<_>>(), want);
+        assert_eq!(g.num_edges(), want.len());
+    });
+}
 
 /// Coreness is exactly the largest k whose k-core set contains v, and
 /// k-core sets are nested (the containment property the sweeps rely on).
