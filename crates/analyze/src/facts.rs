@@ -51,10 +51,10 @@ const IO_METHODS: &[&str] = &[
 /// `ExecPolicy` entry points: a guard held across one of these is held
 /// across the worker fan-out.
 const DISPATCH_METHODS: &[&str] = &[
-    "parallel_for",
     "map_chunks",
     "map_reduce",
     "for_each_disjoint",
+    "map_disjoint_beside",
 ];
 
 /// One call site observed inside a function body or guard range.

@@ -113,7 +113,7 @@ fn naive_shared_engine_is_caught() {
              }\n\
              pub fn answer(&self, policy: &ExecPolicy, plan: &Plan) {\n\
                  let g = self.guard();\n\
-                 policy.parallel_for(plan, || (), |(), _, range| g.answer(range));\n\
+                 policy.map_chunks(plan, || (), |(), _, range| g.answer(range));\n\
              }\n\
          }\n",
     );
@@ -146,12 +146,31 @@ fn checkout_publish_shape_is_clean() {
              }\n\
              pub fn answer(&self, policy: &ExecPolicy, plan: &Plan) {\n\
                  let handle = self.guard().checkout();\n\
-                 policy.parallel_for(plan, || (), |(), _, range| handle.answer(range));\n\
+                 policy.map_chunks(plan, || (), |(), _, range| handle.answer(range));\n\
                  self.guard().settle();\n\
              }\n\
          }\n",
     );
     assert_eq!(fx.lints(), Vec::<String>::new());
+}
+
+/// A guard held across the overlapped build: the caller's task runs under
+/// the lock while the policy's workers fan out, which the pass must flag
+/// like any other dispatch.
+#[test]
+fn guard_held_across_an_overlapped_dispatch_is_caught() {
+    let fx = Fixture::new("overlap-dispatch");
+    fx.write("crates/demo/src/lib.rs", CLEAN_LIB);
+    fx.write(
+        "crates/demo/src/util.rs",
+        "//! A build that keeps the registry locked while it overlaps stages.\n\
+         pub fn build_locked(policy: &ExecPolicy, plan: &Plan, data: &mut [u64]) {\n\
+             let g = REGISTRY.lock();\n\
+             let (forest, _) = policy.map_disjoint_beside(plan, data, plan.bounds(), || (), |(), _, _, region| g.list(region), || g.forest());\n\
+             g.install(forest);\n\
+         }\n",
+    );
+    assert_eq!(fx.lints(), vec!["lock-held-dispatch"]);
 }
 
 /// Transitive discipline: the I/O can hide one call deep and the pass

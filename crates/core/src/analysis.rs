@@ -5,8 +5,11 @@
 //! every metric — including user-defined [`CommunityMetric`]s — is scored in
 //! `O(kmax)` / `O(#cores)` with no further graph traversal. This mirrors the
 //! paper's point that the primaries, not the scores, are the expensive part.
+//!
+//! [`build_stages`] is the build's stage schedule past the peel, shared with
+//! the engine's artifact build: which stage runs beside which.
 
-use bestk_exec::ExecPolicy;
+use bestk_exec::{ChunkPlan, ExecPolicy};
 use bestk_graph::{GraphView, VertexId};
 
 use crate::bestcore::{single_core_profile, BestCore, SingleCoreProfile};
@@ -39,10 +42,11 @@ pub fn analyze_basic<G: GraphView + Sync>(g: &G) -> BestKAnalysis {
     analyze_inner(g, false)
 }
 
-/// [`analyze`] under an execution policy: the Alg. 1 tag scan runs on the
-/// policy's workers, and every other stage, the peel included, on the
-/// calling thread. The analysis is identical to the sequential one at
-/// every thread count.
+/// [`analyze`] under an execution policy, scheduled by [`build_stages`]:
+/// the peel and the forest run on the calling thread, while the Alg. 1 tag
+/// scan, the triangle listing and Alg. 3's sweep run on the policy's
+/// workers. The analysis is identical to the sequential one at every
+/// thread count.
 pub fn analyze_with<G: GraphView + Sync>(g: &G, policy: &ExecPolicy) -> BestKAnalysis {
     analyze_inner_with(g, true, policy)
 }
@@ -62,12 +66,93 @@ fn analyze_inner_with<G: GraphView + Sync>(
     policy: &ExecPolicy,
 ) -> BestKAnalysis {
     let decomp = core_decomposition(g);
-    let ordered = OrderedGraph::build_with(g, &decomp, policy);
-    let set_profile = core_set_profile(&ordered, with_triangles);
-    let forest = CoreForest::build(g, &decomp);
-    let core_profile = single_core_profile(&ordered, &forest, with_triangles);
+    let Stages {
+        forest,
+        set_profile,
+        core_profile,
+        ..
+    } = build_stages(g, &decomp, with_triangles, policy);
     BestKAnalysis {
         decomp,
+        forest,
+        set_profile,
+        core_profile,
+    }
+}
+
+/// Below this many edges [`build_stages`] runs every stage on the calling
+/// thread. Each overlap spawns a scoped worker, and on a 2-vCPU host a
+/// scoped spawn and join takes ~25 µs at p50, more than a profile sweep
+/// over ~3,500 edges (~20 µs). Timed there with no minimum, a whole build
+/// at two threads ran slower than at one below ~4,000 edges; near this
+/// size it breaks even, and above it the second thread pays.
+/// `BENCH_exec.json`'s `exec/artifacts_small` rows time a build of 6,592
+/// edges at one and two threads.
+const MIN_OVERLAP_EDGES: usize = 6_000;
+
+/// What one build computes past the peel.
+#[derive(Debug)]
+pub struct Stages<'a> {
+    /// The Alg. 1 ordering; it holds the min-rank triangle counts when the
+    /// build listed them.
+    pub ordered: OrderedGraph<'a>,
+    /// The core forest (Alg. 4).
+    pub forest: CoreForest,
+    /// Per-k primaries of every k-core set (Alg. 2, or Alg. 3 with
+    /// triangles).
+    pub set_profile: CoreSetProfile,
+    /// Per-core primaries of every forest node (Alg. 5).
+    pub core_profile: SingleCoreProfile,
+}
+
+/// The build's stage schedule past the peel, which both [`analyze_with`]
+/// and the engine's artifact build run:
+///
+/// 1. Alg. 1's ordering, its tag scan on the policy's workers;
+/// 2. the core forest on the calling thread, while the policy's other
+///    workers list the min-rank triangles over degree-weighted chunks (only
+///    `with_triangles`); the caller lists the chunks left once the forest
+///    is done ([`OrderedGraph::list_triangles_beside`]);
+/// 3. Alg. 5's sweep on the calling thread, while Alg. 3's (or Alg. 2's)
+///    sweep runs on another worker. Both read the triangle counts the
+///    ordering cached in step 2.
+///
+/// A policy of `N` threads never runs more than `N` threads. A graph with
+/// fewer than `MIN_OVERLAP_EDGES` edges builds entirely on the calling
+/// thread, where a spawned worker would cost more than it saves. Every
+/// product is identical at every thread count.
+pub fn build_stages<'a, G: GraphView + Sync>(
+    g: &G,
+    decomp: &'a CoreDecomposition,
+    with_triangles: bool,
+    policy: &ExecPolicy,
+) -> Stages<'a> {
+    let policy = if g.num_edges() < MIN_OVERLAP_EDGES {
+        ExecPolicy::Sequential
+    } else {
+        *policy
+    };
+    let ordered = OrderedGraph::build_with(g, decomp, &policy);
+    let build_forest = || CoreForest::build(g, decomp);
+    let forest = if with_triangles {
+        ordered.list_triangles_beside(&policy, build_forest)
+    } else {
+        build_forest()
+    };
+    // One chunk, so one worker: Alg. 3's sweep beside Alg. 5's.
+    let sweep = ChunkPlan::even(1, 1);
+    let (core_profile, mut set_profiles) = policy.map_disjoint_beside(
+        &sweep,
+        &mut [()],
+        sweep.bounds(),
+        || (),
+        |(), _, _, _| core_set_profile(&ordered, with_triangles),
+        || single_core_profile(&ordered, &forest, with_triangles),
+    );
+    // bestk-analyze: allow(no-unwrap) — a one-chunk plan returns exactly one chunk result
+    let set_profile = set_profiles.pop().expect("one chunk, one result");
+    Stages {
+        ordered,
         forest,
         set_profile,
         core_profile,

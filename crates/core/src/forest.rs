@@ -44,7 +44,7 @@ impl CoreForest {
     /// Builds the forest with LCPS (Algorithm 4), then compresses empty
     /// nodes and sorts by descending coreness.
     pub fn build<G: GraphView>(g: &G, d: &CoreDecomposition) -> Self {
-        Builder::new(g, d).run()
+        Builder::<G, true>::new(g, d).run()
     }
 
     /// Number of nodes (= number of distinct k-cores over all k that own at
@@ -110,20 +110,32 @@ impl CoreForest {
     }
 }
 
+/// `state[v]` of a visited vertex. `0` marks a vertex never queued, and
+/// `p + 1` one queued at priority `p` at the highest.
+const VISITED: u32 = u32::MAX;
+
 /// LCPS traversal state (one instance per [`CoreForest::build`]).
-struct Builder<'a, G> {
+///
+/// With `DEDUP` the frontier skips queueing a vertex at a priority no
+/// higher than one it is already queued at. Bins pop highest first and each
+/// bin in FIFO order, so that entry would only be popped after the earlier
+/// one had visited the vertex, and then skipped: the visit order, and so
+/// the forest, are those of the frontier that queues every unvisited
+/// neighbor (`DEDUP = false`, kept as the tests' reference).
+struct Builder<'a, G, const DEDUP: bool> {
     g: &'a G,
     d: &'a CoreDecomposition,
     nodes: Vec<CoreForestNode>,
     vertex_node: Vec<u32>,
-    visited: Vec<bool>,
+    /// Per-vertex frontier state; see [`VISITED`].
+    state: Vec<u32>,
     /// `bins[p]`: frontier vertices enqueued with priority `p`.
     bins: Vec<VecDeque<VertexId>>,
     pending: usize,
     cur_max: usize,
 }
 
-impl<'a, G: GraphView> Builder<'a, G> {
+impl<'a, G: GraphView, const DEDUP: bool> Builder<'a, G, DEDUP> {
     fn new(g: &'a G, d: &'a CoreDecomposition) -> Self {
         let n = g.num_vertices();
         Builder {
@@ -131,7 +143,7 @@ impl<'a, G: GraphView> Builder<'a, G> {
             d,
             nodes: Vec::new(),
             vertex_node: vec![u32::MAX; n],
-            visited: vec![false; n],
+            state: vec![0; n],
             bins: vec![VecDeque::new(); d.kmax() as usize + 1],
             pending: 0,
             cur_max: 0,
@@ -149,10 +161,17 @@ impl<'a, G: GraphView> Builder<'a, G> {
         id
     }
 
-    fn push(&mut self, v: VertexId, p: usize) {
-        self.bins[p].push_back(v);
+    /// Queues the unvisited `v` at priority `p`.
+    fn push(&mut self, v: VertexId, p: u32) {
+        let state = &mut self.state[v as usize];
+        if DEDUP && *state > p {
+            // Already queued at a priority of at least `p`.
+            return;
+        }
+        *state = p + 1;
+        self.bins[p as usize].push_back(v);
         self.pending += 1;
-        self.cur_max = self.cur_max.max(p);
+        self.cur_max = self.cur_max.max(p as usize);
     }
 
     fn pop_max(&mut self) -> (VertexId, usize) {
@@ -168,7 +187,7 @@ impl<'a, G: GraphView> Builder<'a, G> {
     fn run(mut self) -> CoreForest {
         let n = self.g.num_vertices();
         for s in 0..cast::vertex_id(n) {
-            if self.visited[s as usize] {
+            if self.state[s as usize] == VISITED {
                 continue;
             }
             self.traverse_tree(s);
@@ -184,10 +203,10 @@ impl<'a, G: GraphView> Builder<'a, G> {
         self.push(s, 0);
         while self.pending > 0 {
             let (v, r) = self.pop_max();
-            if self.visited[v as usize] {
+            if self.state[v as usize] == VISITED {
                 continue;
             }
-            self.visited[v as usize] = true;
+            self.state[v as usize] = VISITED;
 
             // Adjust the path: the invariant `r <= level(top)` holds because
             // every enqueued priority is bounded by the level current when it
@@ -237,9 +256,8 @@ impl<'a, G: GraphView> Builder<'a, G> {
             // Lines 14-16: enqueue unvisited neighbors at the connectivity
             // priority min(c(w), c(v)).
             for w in self.g.neighbors(v) {
-                if !self.visited[w as usize] {
-                    let p = self.d.coreness(w).min(cv) as usize;
-                    self.push(w, p);
+                if self.state[w as usize] != VISITED {
+                    self.push(w, self.d.coreness(w).min(cv));
                 }
             }
         }
@@ -512,6 +530,70 @@ mod tests {
         assert_eq!(chain.len(), 2);
         assert_eq!(f.node(chain[1]).coreness, 2);
         assert!(f.node(chain[1]).parent.is_none());
+    }
+
+    /// The reference frontier: queues every unvisited neighbor.
+    fn reference_forest(g: &CsrGraph, d: &CoreDecomposition) -> CoreForest {
+        Builder::<_, false>::new(g, d).run()
+    }
+
+    /// The deduplicated frontier must build the reference forest exactly:
+    /// node indices reach answer lines, so node order, coreness, per-node
+    /// vertex order, parents, children and `vertex_nodes` all match.
+    fn assert_same_as_reference(g: &CsrGraph, context: &str) {
+        let d = core_decomposition(g);
+        let got = CoreForest::build(g, &d);
+        let want = reference_forest(g, &d);
+        assert_eq!(got.node_count(), want.node_count(), "{context}: nodes");
+        for (i, (a, b)) in got.nodes().iter().zip(want.nodes()).enumerate() {
+            assert_eq!(a, b, "{context}: node {i}");
+        }
+        assert_eq!(got.vertex_nodes(), want.vertex_nodes(), "{context}");
+    }
+
+    /// `a` and `b` side by side, plus `isolated` vertices after both.
+    fn disjoint_union(a: &CsrGraph, b: &CsrGraph, isolated: usize) -> CsrGraph {
+        let shift = cast::vertex_id(a.num_vertices());
+        let mut builder = GraphBuilder::new();
+        builder.extend_edges(a.edges());
+        builder.extend_edges(b.edges().map(|(u, v)| (u + shift, v + shift)));
+        builder.reserve_vertices(a.num_vertices() + b.num_vertices() + isolated);
+        builder.build()
+    }
+
+    #[test]
+    fn dedup_frontier_builds_the_reference_forest_on_every_family() {
+        let er = generators::erdos_renyi_gnm(400, 1600, 5);
+        let chung_lu = generators::chung_lu_power_law(600, 8.0, 2.3, 12);
+        let families = [
+            ("figure 2", generators::paper_figure2()),
+            ("erdos-renyi", er.clone()),
+            ("chung-lu", chung_lu.clone()),
+            (
+                "overlapping cliques",
+                generators::overlapping_cliques(300, 40, (3, 12), 4),
+            ),
+            (
+                "planted partition",
+                generators::planted_partition(&[40, 30, 25], 0.4, 0.02, 9).graph,
+            ),
+            ("clique chain", regular::clique_chain(6, 5)),
+            ("k-chain", generators::k_chain(14)),
+            ("shell ladder", generators::shell_ladder(7, 9)),
+            ("tie storm", generators::tie_storm(12, 6, 3)),
+            ("disconnected", disjoint_union(&er, &chung_lu, 0)),
+            (
+                "isolated vertices",
+                disjoint_union(&generators::k_chain(5), &regular::clique_chain(3, 4), 7),
+            ),
+            ("edgeless", CsrGraph::empty(5)),
+        ];
+        for (name, g) in &families {
+            assert_same_as_reference(g, name);
+        }
+        bestk_graph::testkit::check("forest_dedup_equals_reference", 64, |gen| {
+            assert_same_as_reference(&gen.graph(120, 600), "random");
+        });
     }
 
     #[test]

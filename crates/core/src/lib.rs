@@ -17,7 +17,9 @@
 //! each level's opening frontier by id so the peel order is canonical
 //! (see [`decomposition`]). The peel runs on the calling thread; the
 //! `*_with` entry points take an `ExecPolicy` for the stages whose second
-//! worker measurably pays, the Alg. 1 tag scan and the h-index rounds.
+//! worker measurably pays: the Alg. 1 tag scan, the h-index rounds, and
+//! [`build_stages`], which lists triangles beside the core forest and runs
+//! the Alg. 3 and Alg. 5 sweeps side by side.
 //!
 //! ## Pipeline
 //!
@@ -68,7 +70,9 @@ pub mod triangles;
 pub mod verify;
 pub mod weighted;
 
-pub use analysis::{analyze, analyze_basic, analyze_basic_with, analyze_with, BestKAnalysis};
+pub use analysis::{
+    analyze, analyze_basic, analyze_basic_with, analyze_with, build_stages, BestKAnalysis, Stages,
+};
 pub use bestcore::{best_single_core, single_core_profile, BestCore, SingleCoreProfile};
 pub use bestkset::{best_k_core_set, core_set_profile, BestKSet, CoreSetProfile};
 pub use decomposition::{core_decomposition, core_decomposition_with, CoreDecomposition};

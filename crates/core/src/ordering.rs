@@ -15,7 +15,8 @@
 //! crate is built on. The one triangle listing both triangle sweeps
 //! (Algorithms 3 and 5) share also lives here:
 //! [`OrderedGraph::min_rank_triangles`] lists every triangle once per
-//! ordering, on first use.
+//! ordering, on first use, and [`OrderedGraph::list_triangles_beside`]
+//! lists them on a policy's workers beside a task of the caller's.
 
 use std::sync::OnceLock;
 
@@ -257,34 +258,68 @@ impl<'a> OrderedGraph<'a> {
     }
 
     /// `t[v]`: the number of triangles whose minimum-rank vertex is `v`
-    /// (Algorithm 3 lines 7-12). Listed on the first call, on one thread, in
-    /// `O(m^1.5)` time and `O(n)` extra space; later calls return the cached
-    /// counts. Each `v` marks `N(v, >r)` and scans every marked neighbor's
-    /// `N(u, >r)` for marks, so a triangle is found once, at its unique rank
-    /// ordering `rank(v) < rank(u) < rank(w)`.
+    /// (Algorithm 3 lines 7-12), in `O(m^1.5)` time and `O(n)` extra space.
+    /// Returns the cached counts if the ordering holds them; otherwise lists
+    /// them on the calling thread and caches them. The staged build lists
+    /// them first through [`list_triangles_beside`](Self::list_triangles_beside).
     pub fn min_rank_triangles(&self) -> &[u64] {
         self.min_rank_triangles.get_or_init(|| {
-            let n = self.num_vertices();
-            // marked[w] == v: w ∈ N(v, >r) of the current v.
-            let mut marked = vec![VertexId::MAX; n];
-            let mut t = vec![0u64; n];
-            for v in self.vertices() {
-                let above = self.neighbors_gt_rank(v);
-                for &u in above {
-                    marked[u as usize] = v;
-                }
-                let mut count = 0u64;
-                for &u in above {
-                    for &w in self.neighbors_gt_rank(u) {
-                        if marked[w as usize] == v {
-                            count += 1;
-                        }
-                    }
-                }
-                t[v as usize] = count;
-            }
-            t
+            let mut marked = vec![VertexId::MAX; self.num_vertices()];
+            self.vertices()
+                .map(|v| self.count_min_rank_triangles(v, &mut marked))
+                .collect()
         })
+    }
+
+    /// Lists the [`min_rank_triangles`](Self::min_rank_triangles) counts on
+    /// `policy`'s other workers over degree-weighted chunks, each chunk
+    /// writing its own region of one count array, while the calling thread
+    /// runs `task`; once `task` returns, the caller lists the chunks still
+    /// unclaimed. The counts are cached in the ordering (unless it holds
+    /// them already), so both triangle sweeps read them. Returns `task`'s
+    /// value. Under [`ExecPolicy::Sequential`] the listing runs inline after
+    /// `task`. The counts are the same at every thread count: each vertex's
+    /// count depends only on the ordering.
+    pub fn list_triangles_beside<T>(&self, policy: &ExecPolicy, task: impl FnOnce() -> T) -> T {
+        let n = self.num_vertices();
+        let mut counts = vec![0u64; n];
+        let plan = policy.plan_weighted(&self.offsets);
+        let (value, _) = policy.map_disjoint_beside(
+            &plan,
+            &mut counts,
+            plan.bounds(),
+            || vec![VertexId::MAX; n],
+            |marked, _, vertices, region| {
+                for (v, count) in vertices.zip(region) {
+                    *count = self.count_min_rank_triangles(cast::vertex_id(v), marked);
+                }
+            },
+            task,
+        );
+        self.min_rank_triangles.get_or_init(|| counts);
+        value
+    }
+
+    /// The triangles whose minimum-rank vertex is `v`: mark `N(v, >r)`,
+    /// then scan every marked neighbor's `N(u, >r)` for marks, so a
+    /// triangle is found once, at its unique rank ordering
+    /// `rank(v) < rank(u) < rank(w)`. `marked` is `n` slots of scratch;
+    /// `marked[w] == v` means `w ∈ N(v, >r)`, so no reset is needed
+    /// between vertices.
+    fn count_min_rank_triangles(&self, v: VertexId, marked: &mut [VertexId]) -> u64 {
+        let above = self.neighbors_gt_rank(v);
+        for &u in above {
+            marked[u as usize] = v;
+        }
+        let mut count = 0u64;
+        for &u in above {
+            for &w in self.neighbors_gt_rank(u) {
+                if marked[w as usize] == v {
+                    count += 1;
+                }
+            }
+        }
+        count
     }
 
     /// `|N(v, <)|` in `O(1)`.
@@ -449,6 +484,25 @@ mod tests {
         assert!(o.min_rank_triangles.get().is_some());
         // Example 5: the whole Figure 2 graph has 10 triangles.
         assert_eq!(o.min_rank_triangles().iter().sum::<u64>(), 10);
+    }
+
+    #[test]
+    fn listing_beside_a_task_matches_the_lazy_listing() {
+        bestk_graph::testkit::check("triangle_listing_beside_equals_lazy", 24, |gen| {
+            let g = gen.graph(60, 400);
+            let d = core_decomposition(&g);
+            let reference = OrderedGraph::build(&g, &d);
+            for threads in [1, 2, 4, 7] {
+                let policy = ExecPolicy::with_threads(threads).unwrap();
+                let o = OrderedGraph::build(&g, &d);
+                assert_eq!(o.list_triangles_beside(&policy, || threads), threads);
+                assert_eq!(
+                    o.min_rank_triangles.get().map(Vec::as_slice),
+                    Some(reference.min_rank_triangles()),
+                    "{threads} threads"
+                );
+            }
+        });
     }
 
     #[test]

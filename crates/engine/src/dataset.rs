@@ -18,8 +18,8 @@
 //! thread count.
 
 use bestk_core::{
-    core_decomposition, core_set_profile, single_core_profile, CoreDecomposition, CoreForest,
-    CoreSetProfile, OrderedGraph, SingleCoreProfile,
+    build_stages, core_decomposition, CoreDecomposition, CoreForest, CoreSetProfile,
+    SingleCoreProfile, Stages,
 };
 use bestk_exec::ExecPolicy;
 use bestk_faults::sites;
@@ -55,13 +55,16 @@ pub struct Artifacts {
 impl Artifacts {
     /// Builds every artifact from scratch under an execution policy
     /// (`O(m^1.5)` — triangles are always computed so triangle metrics
-    /// answer without a rebuild).
+    /// answer without a rebuild). The stages past the peel run on the
+    /// schedule of [`bestk_core::build_stages`].
     pub fn build<G: GraphView + Sync>(graph: &G, policy: &ExecPolicy) -> Artifacts {
         let decomp = core_decomposition(graph);
-        let ordered = OrderedGraph::build_with(graph, &decomp, policy);
-        let set_profile = core_set_profile(&ordered, true);
-        let forest = CoreForest::build(graph, &decomp);
-        let core_profile = single_core_profile(&ordered, &forest, true);
+        let Stages {
+            ordered,
+            forest,
+            set_profile,
+            core_profile,
+        } = build_stages(graph, &decomp, true, policy);
         let (adj, same, plus, high) = ordered.into_parts();
         Artifacts {
             decomp,

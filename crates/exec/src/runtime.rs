@@ -1,20 +1,27 @@
 //! The execution primitives: scoped chunked loops over an [`ExecPolicy`].
 //!
-//! All primitives share one engine: chunks from a [`ChunkPlan`] are claimed
-//! dynamically (an atomic cursor) by `threads` scoped workers, each holding
-//! a private scratch value built once per worker. Results land in a
-//! chunk-indexed table and are handed back **in chunk order**, so any
+//! All primitives share one claim loop: chunks from a [`ChunkPlan`] are
+//! claimed dynamically (an atomic cursor) by the loop's threads, each
+//! holding a private scratch value built on its first claim. Results land
+//! in a chunk-indexed table and are handed back **in chunk order**, so any
 //! kernel whose per-chunk computation is deterministic yields bit-identical
 //! output at every thread count.
 //!
-//! Panic containment: a panic inside a chunk body is caught **on the
-//! worker**, the remaining workers stop claiming chunks and join cleanly,
-//! and the first captured payload is re-raised on the calling thread after
-//! the scope joins. Callers therefore see worker panics exactly as if the
-//! body had panicked inline — the seeded property runner and the engine's
-//! request-level `catch_unwind` both rely on that — while no worker thread
-//! ever dies mid-write or strands a sibling.
+//! [`ExecPolicy::map_chunks`] runs the loop on `threads` scoped workers
+//! while the caller waits. [`ExecPolicy::map_disjoint_beside`] runs it on
+//! `threads - 1` workers while the caller runs a task of its own, then
+//! joins the loop itself, so a policy of `threads` threads never has more
+//! than `threads` of them running.
+//!
+//! Panic containment: a panic inside a chunk body (or the caller's task) is
+//! caught where it happens, the loop's threads stop claiming chunks and
+//! join cleanly, and the first captured payload is re-raised on the calling
+//! thread after the scope joins. Callers therefore see worker panics
+//! exactly as if the body had panicked inline — the seeded property runner
+//! and the engine's request-level `catch_unwind` both rely on that — while
+//! no worker thread ever dies mid-write or strands a sibling.
 
+use std::any::Any;
 use std::ops::Range;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -46,40 +53,89 @@ fn record_dispatch(items: usize, chunks: usize, workers: usize) {
     }
 }
 
-/// Collects the first panic payload raised by any worker; once armed, the
-/// other workers stop claiming chunks (checked via the cheap flag) and the
-/// payload is re-raised on the calling thread after the scope joins.
-struct PanicSlot {
-    hit: AtomicBool,
-    payload: Mutex<Option<Box<dyn std::any::Any + Send>>>,
+/// The claim loop's shared state: the next unclaimed chunk, and the first
+/// panic payload raised by any of the loop's threads. Once a panic is
+/// caught the other threads stop claiming (checked via the cheap flag) and
+/// the payload is re-raised on the calling thread after the scope joins.
+struct Claims {
+    chunks: usize,
+    cursor: AtomicUsize,
+    halted: AtomicBool,
+    payload: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
-impl PanicSlot {
-    fn new() -> PanicSlot {
-        PanicSlot {
-            hit: AtomicBool::new(false),
+impl Claims {
+    fn new(chunks: usize) -> Claims {
+        Claims {
+            chunks,
+            cursor: AtomicUsize::new(0),
+            halted: AtomicBool::new(false),
             payload: Mutex::new(None),
         }
     }
 
-    fn armed(&self) -> bool {
-        self.hit.load(Ordering::Relaxed)
-    }
-
-    fn arm(&self, payload: Box<dyn std::any::Any + Send>) {
-        let mut slot = lock_ignoring_poison(&self.payload);
-        if slot.is_none() {
-            *slot = Some(payload);
+    /// Claims chunks until none is left or a panic halts the loop, running
+    /// `each` on every claimed chunk index with its panics caught.
+    fn run(&self, mut each: impl FnMut(usize)) {
+        while !self.halted.load(Ordering::Relaxed) {
+            let c = self.cursor.fetch_add(1, Ordering::Relaxed);
+            if c >= self.chunks {
+                break;
+            }
+            if let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(|| each(c))) {
+                let mut slot = lock_ignoring_poison(&self.payload);
+                if slot.is_none() {
+                    *slot = Some(payload);
+                }
+                self.halt();
+                break;
+            }
         }
-        self.hit.store(true, Ordering::Release);
     }
 
-    /// Re-raises the captured panic, if any, on the current thread.
+    /// Stops every thread of the loop from claiming further chunks.
+    fn halt(&self) {
+        self.halted.store(true, Ordering::Release);
+    }
+
+    /// Re-raises the first captured panic, if any, on the current thread.
     fn resume(self) {
-        if let Some(payload) = lock_ignoring_poison(&self.payload).take() {
+        let payload = self
+            .payload
+            .into_inner()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        if let Some(payload) = payload {
             std::panic::resume_unwind(payload);
         }
     }
+}
+
+/// Unwraps a chunk-indexed result table; every chunk reports exactly once
+/// unless a panic halted the loop, which [`Claims::resume`] re-raised.
+fn in_chunk_order<R>(results: Mutex<Vec<Option<R>>>) -> Vec<R> {
+    let chunks = lock_ignoring_poison(&results).len();
+    let collected: Vec<R> = results
+        .into_inner()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+        .into_iter()
+        .flatten()
+        .collect();
+    debug_assert_eq!(collected.len(), chunks, "every chunk must report a result");
+    collected
+}
+
+/// Splits `data` into the per-chunk regions `cuts` describes.
+fn split_regions<'d, T>(data: &'d mut [T], cuts: &[usize]) -> Vec<&'d mut [T]> {
+    assert_eq!(cuts.first(), Some(&0), "regions must start at 0");
+    assert_eq!(cuts.last(), Some(&data.len()), "regions must cover data");
+    let mut regions = Vec::with_capacity(cuts.len().saturating_sub(1));
+    let mut rest = data;
+    for w in cuts.windows(2) {
+        let (region, tail) = rest.split_at_mut(w[1] - w[0]);
+        regions.push(region);
+        rest = tail;
+    }
+    regions
 }
 
 impl ExecPolicy {
@@ -97,7 +153,8 @@ impl ExecPolicy {
 
     /// Maps every chunk of `plan` to a value, returning the values **in
     /// chunk order** (the deterministic-merge primitive the equality
-    /// property tests rely on).
+    /// property tests rely on). The chunks run on `threads` scoped workers
+    /// while the caller waits.
     pub fn map_chunks<S, R, F>(
         &self,
         plan: &ChunkPlan,
@@ -118,43 +175,22 @@ impl ExecPolicy {
                 .map(|c| map(&mut scratch, c, plan.range(c)))
                 .collect();
         }
-        let cursor = AtomicUsize::new(0);
+        let claims = Claims::new(chunks);
         let results: Mutex<Vec<Option<R>>> = Mutex::new((0..chunks).map(|_| None).collect());
-        let panic_slot = PanicSlot::new();
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| {
-                    let mut scratch = init();
-                    loop {
-                        if panic_slot.armed() {
-                            break;
-                        }
-                        let c = cursor.fetch_add(1, Ordering::Relaxed);
-                        if c >= chunks {
-                            break;
-                        }
-                        match std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            map(&mut scratch, c, plan.range(c))
-                        })) {
-                            Ok(r) => lock_ignoring_poison(&results)[c] = Some(r),
-                            Err(payload) => {
-                                panic_slot.arm(payload);
-                                break;
-                            }
-                        }
-                    }
+                    let mut scratch = None;
+                    claims.run(|c| {
+                        let scratch = scratch.get_or_insert_with(&init);
+                        let r = map(scratch, c, plan.range(c));
+                        lock_ignoring_poison(&results)[c] = Some(r);
+                    });
                 });
             }
         });
-        panic_slot.resume();
-        let collected: Vec<R> = results
-            .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .into_iter()
-            .flatten()
-            .collect();
-        debug_assert_eq!(collected.len(), chunks, "every chunk must report a result");
-        collected
+        claims.resume();
+        in_chunk_order(results)
     }
 
     /// Maps every chunk and folds the results **in chunk order** into an
@@ -178,7 +214,9 @@ impl ExecPolicy {
     /// Runs `body` once per chunk with **exclusive mutable access** to that
     /// chunk's region of `data`: region `c` is `data[cuts[c]..cuts[c + 1]]`.
     /// This is how kernels write disjoint output slices (per-vertex tags,
-    /// adjacency sub-ranges) in parallel without atomics.
+    /// adjacency sub-ranges) in parallel without atomics. It is
+    /// [`map_disjoint_beside`](Self::map_disjoint_beside) with no task of
+    /// the caller's own: the caller joins the claim loop at once.
     ///
     /// `cuts` must be monotone from `0` to `data.len()` with one region per
     /// chunk; `body` receives `(scratch, chunk index, item range, region)`.
@@ -199,61 +237,92 @@ impl ExecPolicy {
         S: Send,
         F: Fn(&mut S, usize, Range<usize>, &mut [T]) + Sync,
     {
+        self.map_disjoint_beside(plan, data, cuts, init, body, || ());
+    }
+
+    /// Runs `task` on the calling thread while `threads - 1` scoped workers
+    /// claim the chunks of `plan`; once `task` returns, the caller claims
+    /// whatever chunks are left. Each chunk's `body` gets **exclusive
+    /// mutable access** to its region of `data` (region `c` is
+    /// `data[cuts[c]..cuts[c + 1]]`) and returns a value. Returns `task`'s
+    /// value and the chunk values **in chunk order**.
+    ///
+    /// At most `threads` threads run at once, the caller included. Under
+    /// [`ExecPolicy::Sequential`] everything runs inline: `task` first, then
+    /// the chunks in order. A panic in `task` or in any chunk stops the
+    /// claim loop and is re-raised on the caller with its payload once
+    /// every worker has joined.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cuts` does not describe a partition of `data` aligned
+    /// with `plan`.
+    pub fn map_disjoint_beside<T, S, R, U, F>(
+        &self,
+        plan: &ChunkPlan,
+        data: &mut [T],
+        cuts: &[usize],
+        init: impl Fn() -> S + Sync,
+        body: F,
+        task: impl FnOnce() -> U,
+    ) -> (U, Vec<R>)
+    where
+        T: Send,
+        S: Send,
+        R: Send,
+        F: Fn(&mut S, usize, Range<usize>, &mut [T]) -> R + Sync,
+    {
         let chunks = plan.num_chunks();
         assert_eq!(cuts.len(), chunks + 1, "one data region per chunk");
-        assert_eq!(cuts.first(), Some(&0), "regions must start at 0");
-        assert_eq!(cuts.last(), Some(&data.len()), "regions must cover data");
-        let workers = self.threads().min(chunks);
-        record_dispatch(plan.len(), chunks, workers);
-        if workers <= 1 {
+        let regions = split_regions(data, cuts);
+        let helpers = (self.threads() - 1).min(chunks);
+        record_dispatch(plan.len(), chunks, helpers + 1);
+        if helpers == 0 {
+            let value = task();
             let mut scratch = init();
-            let mut rest = data;
-            for c in 0..chunks {
-                let (region, tail) = rest.split_at_mut(cuts[c + 1] - cuts[c]);
-                body(&mut scratch, c, plan.range(c), region);
-                rest = tail;
-            }
-            return;
+            let results = regions
+                .into_iter()
+                .enumerate()
+                .map(|(c, region)| body(&mut scratch, c, plan.range(c), region))
+                .collect();
+            return (value, results);
         }
-        // Pre-split the data into per-chunk regions, then let workers claim
-        // (chunk, region) pairs dynamically.
-        let mut regions: Vec<Option<&mut [T]>> = Vec::with_capacity(chunks);
-        let mut rest = data;
-        for c in 0..chunks {
-            let (region, tail) = rest.split_at_mut(cuts[c + 1] - cuts[c]);
-            regions.push(Some(region));
-            rest = tail;
-        }
-        let cursor = AtomicUsize::new(0);
-        let slots = Mutex::new(regions);
-        let panic_slot = PanicSlot::new();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut scratch = init();
-                    loop {
-                        if panic_slot.armed() {
-                            break;
-                        }
-                        let c = cursor.fetch_add(1, Ordering::Relaxed);
-                        if c >= chunks {
-                            break;
-                        }
-                        let region = lock_ignoring_poison(&slots)[c].take();
-                        if let Some(region) = region {
-                            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                                body(&mut scratch, c, plan.range(c), region)
-                            }));
-                            if let Err(payload) = caught {
-                                panic_slot.arm(payload);
-                                break;
-                            }
-                        }
-                    }
-                });
+        let claims = Claims::new(chunks);
+        let slots: Mutex<Vec<Option<&mut [T]>>> =
+            Mutex::new(regions.into_iter().map(Some).collect());
+        let results: Mutex<Vec<Option<R>>> = Mutex::new((0..chunks).map(|_| None).collect());
+        let claim_loop = || {
+            let mut scratch = None;
+            claims.run(|c| {
+                let region = lock_ignoring_poison(&slots)
+                    .get_mut(c)
+                    .and_then(Option::take);
+                if let Some(region) = region {
+                    let scratch = scratch.get_or_insert_with(&init);
+                    let r = body(scratch, c, plan.range(c), region);
+                    lock_ignoring_poison(&results)[c] = Some(r);
+                }
+            });
+        };
+        let value = std::thread::scope(|scope| {
+            for _ in 0..helpers {
+                scope.spawn(claim_loop);
             }
+            let value = std::panic::catch_unwind(AssertUnwindSafe(task));
+            if value.is_ok() {
+                claim_loop();
+            } else {
+                claims.halt();
+            }
+            value
         });
-        panic_slot.resume();
+        match value {
+            Ok(value) => {
+                claims.resume();
+                (value, in_chunk_order(results))
+            }
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
     }
 }
 
@@ -408,6 +477,152 @@ mod tests {
         }));
         let payload = hit.unwrap_err();
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"region 2 exploded"));
+    }
+
+    #[test]
+    fn beside_returns_the_task_value_and_chunk_results_in_order() {
+        let caller = std::thread::current().id();
+        for threads in [1, 2, 4, 7] {
+            let p = ExecPolicy::with_threads(threads).unwrap();
+            let plan = ChunkPlan::even(40, 13);
+            let mut data = vec![0usize; 40];
+            let cuts = plan.bounds().to_vec();
+            let (value, out) = p.map_disjoint_beside(
+                &plan,
+                &mut data,
+                &cuts,
+                || (),
+                |_, c, items, region| {
+                    assert_eq!(region.len(), items.len());
+                    region.fill(c + 1);
+                    (c, items.len())
+                },
+                || (std::thread::current().id(), "task"),
+            );
+            assert_eq!(value, (caller, "task"), "the task runs on the caller");
+            let idx: Vec<usize> = out.iter().map(|&(c, _)| c).collect();
+            assert_eq!(idx, (0..13).collect::<Vec<_>>(), "{threads} threads");
+            assert_eq!(out.iter().map(|&(_, l)| l).sum::<usize>(), 40);
+            for c in 0..plan.num_chunks() {
+                assert!(data[plan.range(c)].iter().all(|&x| x == c + 1));
+            }
+        }
+    }
+
+    #[test]
+    fn beside_never_runs_more_than_the_policys_threads() {
+        use std::time::Duration;
+        for threads in [2, 3, 4] {
+            let p = ExecPolicy::with_threads(threads).unwrap();
+            let running = AtomicUsize::new(0);
+            let peak = AtomicUsize::new(0);
+            let busy = || {
+                let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                peak.fetch_max(now, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(2));
+                running.fetch_sub(1, Ordering::SeqCst);
+            };
+            let plan = ChunkPlan::even(24, 24);
+            let cuts = plan.bounds().to_vec();
+            let mut data = vec![0u8; 24];
+            p.map_disjoint_beside(
+                &plan,
+                &mut data,
+                &cuts,
+                || (),
+                |_, _, _, _| busy(),
+                || {
+                    busy();
+                    busy();
+                },
+            );
+            let seen = peak.load(Ordering::SeqCst);
+            assert!(
+                seen <= threads,
+                "{seen} running at once under {threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn beside_task_panic_reaches_caller_with_payload() {
+        let p = ExecPolicy::with_threads(2).unwrap();
+        let plan = ChunkPlan::even(8, 4);
+        let cuts = plan.bounds().to_vec();
+        let mut data = vec![0u8; 8];
+        let hit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            p.map_disjoint_beside(
+                &plan,
+                &mut data,
+                &cuts,
+                || (),
+                |_, _, _, _| (),
+                || panic!("task exploded"),
+            );
+        }));
+        let payload = hit.unwrap_err();
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"task exploded"));
+    }
+
+    #[test]
+    fn beside_chunk_panic_reaches_caller_with_payload() {
+        for threads in [2, 4] {
+            let p = ExecPolicy::with_threads(threads).unwrap();
+            let plan = ChunkPlan::even(8, 8);
+            let cuts = plan.bounds().to_vec();
+            let mut data = vec![0u8; 8];
+            let hit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                p.map_disjoint_beside(
+                    &plan,
+                    &mut data,
+                    &cuts,
+                    || (),
+                    |_, c, _, _| {
+                        if c == 5 {
+                            panic!("chunk 5 exploded");
+                        }
+                    },
+                    || 7,
+                );
+            }));
+            let payload = hit.unwrap_err();
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"chunk 5 exploded"));
+        }
+    }
+
+    #[test]
+    fn beside_sequential_runs_inline_and_counts_one_fallback() {
+        let caller = std::thread::current().id();
+        let order = Mutex::new(Vec::new());
+        let clock = std::sync::Arc::new(bestk_obs::ManualClock::with_step(1));
+        let ((value, out), snap) = bestk_obs::with_fresh(clock, || {
+            let plan = ChunkPlan::even(6, 3);
+            let cuts = plan.bounds().to_vec();
+            let mut data = vec![0u8; 6];
+            ExecPolicy::Sequential.map_disjoint_beside(
+                &plan,
+                &mut data,
+                &cuts,
+                || (),
+                |_, c, _, _| {
+                    assert_eq!(std::thread::current().id(), caller);
+                    lock_ignoring_poison(&order).push(format!("chunk {c}"));
+                    c
+                },
+                || {
+                    lock_ignoring_poison(&order).push("task".to_owned());
+                    "done"
+                },
+            )
+        });
+        assert_eq!(value, "done");
+        assert_eq!(out, vec![0, 1, 2]);
+        assert_eq!(
+            order.into_inner().unwrap(),
+            vec!["task", "chunk 0", "chunk 1", "chunk 2"]
+        );
+        assert_eq!(snap.counter("exec.dispatches"), Some(1));
+        assert_eq!(snap.counter("exec.sequential_fallbacks"), Some(1));
     }
 
     #[test]

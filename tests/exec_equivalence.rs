@@ -11,6 +11,7 @@
 use bestk::core::{analyze, analyze_with, core_decomposition, CommunityMetric, Metric};
 use bestk::exec::ExecPolicy;
 use bestk::graph::testkit::check;
+use bestk::graph::{generators, CsrGraph};
 use bestk::truss::decomposition::{truss_decomposition_exec, truss_decomposition_with_index};
 use bestk::truss::EdgeIndex;
 
@@ -18,45 +19,59 @@ use bestk::truss::EdgeIndex;
 /// (2, 4), and a prime that never divides the chunk count evenly (7).
 const THREADS: [usize; 4] = [1, 2, 4, 7];
 
+/// `analyze_with` at every thread count against the sequential `analyze`.
+fn assert_analysis_invariant(g: &CsrGraph) {
+    let reference = analyze(g);
+    for threads in THREADS {
+        let policy = ExecPolicy::with_threads(threads).unwrap();
+        let a = analyze_with(g, &policy);
+        assert_eq!(
+            a.decomposition().coreness_slice(),
+            reference.decomposition().coreness_slice(),
+            "{threads} threads"
+        );
+        assert_eq!(
+            a.forest().nodes(),
+            reference.forest().nodes(),
+            "forest, {threads} threads"
+        );
+        for m in Metric::ALL {
+            assert_eq!(
+                a.best_core_set(&m),
+                reference.best_core_set(&m),
+                "{} set, {threads} threads",
+                m.name()
+            );
+            assert_eq!(
+                a.best_single_core(&m),
+                reference.best_single_core(&m),
+                "{} single, {threads} threads",
+                m.name()
+            );
+            // Score series compare on raw bits: the contract is
+            // determinism, not approximate agreement.
+            let s = a.core_set_scores(&m);
+            let r = reference.core_set_scores(&m);
+            assert_eq!(
+                s.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                r.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                "{} series, {threads} threads",
+                m.name()
+            );
+        }
+    }
+}
+
 #[test]
 fn analyze_pipeline_is_thread_count_invariant() {
     check("exec_analyze_pipeline_equivalence", 16, |gen| {
-        let g = gen.graph(80, 360);
-        let reference = analyze(&g);
-        for threads in THREADS {
-            let policy = ExecPolicy::with_threads(threads).unwrap();
-            let a = analyze_with(&g, &policy);
-            assert_eq!(
-                a.decomposition().coreness_slice(),
-                reference.decomposition().coreness_slice(),
-                "{threads} threads"
-            );
-            for m in Metric::ALL {
-                assert_eq!(
-                    a.best_core_set(&m),
-                    reference.best_core_set(&m),
-                    "{} set, {threads} threads",
-                    m.name()
-                );
-                assert_eq!(
-                    a.best_single_core(&m),
-                    reference.best_single_core(&m),
-                    "{} single, {threads} threads",
-                    m.name()
-                );
-                // Score series compare on raw bits: the contract is
-                // determinism, not approximate agreement.
-                let s = a.core_set_scores(&m);
-                let r = reference.core_set_scores(&m);
-                assert_eq!(
-                    s.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    r.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    "{} series, {threads} threads",
-                    m.name()
-                );
-            }
-        }
+        assert_analysis_invariant(&gen.graph(80, 360));
     });
+    // Above the build's overlap minimum, so the forest runs beside the
+    // fanned-out triangle listing and the two sweeps run side by side.
+    let g = generators::chung_lu_power_law(4_000, 10.0, 2.4, 5);
+    assert!(g.num_edges() > 15_000, "m = {}", g.num_edges());
+    assert_analysis_invariant(&g);
 }
 
 #[test]

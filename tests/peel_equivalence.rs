@@ -145,10 +145,19 @@ fn snapshot_bytes_are_identical_at_every_thread_count() {
     // The end-to-end determinism contract: a dataset built under a
     // parallel policy serializes to the *same bytes* as one built under
     // `ExecPolicy::Sequential`, and holds the same peel order, Alg. 1
-    // tags, and forest, which the snapshot does not persist.
+    // tags, and forest, which the snapshot does not persist. The Chung–Lu
+    // graph is above the build's overlap minimum, so its forest runs beside
+    // the fanned-out triangle listing and its two sweeps side by side.
+    let chung_lu = generators::chung_lu_power_law(4_000, 10.0, 2.4, 5);
+    assert!(
+        chung_lu.num_edges() > 15_000,
+        "m = {}",
+        chung_lu.num_edges()
+    );
     for (name, g) in [
         ("random", generators::erdos_renyi_gnm(300, 1200, 41)),
         ("ladder", generators::shell_ladder(7, 9)),
+        ("chung-lu", chung_lu),
     ] {
         let mut reference = Dataset::from_graph(g.clone());
         reference.ensure_built(&ExecPolicy::Sequential);
